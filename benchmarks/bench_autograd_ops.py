@@ -11,6 +11,11 @@ training loop is built from, so BENCH trajectory files track wall-clock for:
   monkeypatch).  The acceptance gate: >= 2x over the seed implementation at
   ``[batch=64, time=20, hidden=64]`` with float64 outputs within 1e-10 of
   the reference;
+* the LBEBM decoder rollout forward+backward (one autograd node, closed-form
+  BPTT) against the per-frame Tensor loop it replaced
+  (``tests/models/oracles.py``).  The gate: >= 1.3x over that oracle at
+  ``[batch=32, features=104, pred_len=12]``, outputs bit-identical and
+  gradients within 1e-10 in float64;
 * batched matmul forward+backward;
 * gradient accumulation into a shared buffer.
 
@@ -27,9 +32,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+if __name__ == "__main__":  # script mode: put repo root + src on sys.path
+    import _bootstrap  # noqa: F401
+
 import numpy as np
 
+from repro.models.decoder import RecurrentTrajectoryDecoder
 from repro.nn import LSTM, Tensor
+from tests.models.oracles import rollout_reference
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -37,6 +47,10 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 BATCH, TIME, HIDDEN, FEATURES = 64, 20, 64, 16
 MIN_SPEEDUP = 2.0
 ATOL = 1e-10
+# LBEBM's decoder at its training shape: hidden 32 + interaction 32 +
+# latent 8 + context 32 conditioning features, 12 predicted frames.
+DEC_BATCH, DEC_FEATURES, DEC_PRED_LEN = 32, 104, 12
+MIN_DECODER_SPEEDUP = 1.3
 
 
 @dataclass
@@ -193,6 +207,50 @@ def bench_lstm(repeats: int = 10) -> dict:
     }
 
 
+def decoder_step(forward, decoder, cond: np.ndarray, upstream: np.ndarray):
+    """One forward+backward; returns the output and the input gradient."""
+    decoder.zero_grad()
+    x = Tensor(cond, requires_grad=True)
+    out = forward(x)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data, x.grad
+
+
+def bench_decoder(repeats: int = 20) -> dict:
+    rng = np.random.default_rng(3)
+    decoder = RecurrentTrajectoryDecoder(DEC_FEATURES, pred_len=DEC_PRED_LEN, rng=3)
+    cond = rng.normal(size=(DEC_BATCH, DEC_FEATURES))
+    upstream = rng.normal(size=(DEC_BATCH, DEC_PRED_LEN, 2))
+
+    def oracle(x):
+        return rollout_reference(decoder, x)
+
+    out_fused, dx_fused = decoder_step(decoder, decoder, cond, upstream)
+    grads_fused = {n: p.grad.copy() for n, p in decoder.named_parameters()}
+    out_ref, dx_ref = decoder_step(oracle, decoder, cond, upstream)
+    grads_ref = {n: p.grad.copy() for n, p in decoder.named_parameters()}
+
+    def fused():
+        decoder_step(decoder, decoder, cond, upstream)
+
+    def reference():
+        decoder_step(oracle, decoder, cond, upstream)
+
+    t_fused = _time(fused, repeats)
+    t_ref = _time(reference, repeats)
+    return {
+        "config": {"batch": DEC_BATCH, "features": DEC_FEATURES, "pred_len": DEC_PRED_LEN},
+        "fused_ms": t_fused.per_call_ms,
+        "reference_ms": t_ref.per_call_ms,
+        "speedup_vs_reference": t_ref.per_call_ms / t_fused.per_call_ms,
+        "outputs_bit_identical": bool(np.array_equal(out_fused, out_ref)),
+        "max_input_grad_abs_err": float(np.abs(dx_fused - dx_ref).max()),
+        "max_param_grad_abs_err": max(
+            float(np.abs(grads_fused[n] - grads_ref[n]).max()) for n in grads_fused
+        ),
+    }
+
+
 def bench_batched_matmul(repeats: int = 20) -> dict:
     rng = np.random.default_rng(1)
     a_data = rng.normal(size=(BATCH, TIME, HIDDEN))
@@ -223,6 +281,7 @@ def bench_accumulate(repeats: int = 50, contributions: int = 32) -> dict:
 def run_all(repeats: int = 10) -> dict:
     return {
         "lstm_forward_backward": bench_lstm(repeats),
+        "decoder_forward_backward": bench_decoder(max(repeats, 20)),
         "batched_matmul": bench_batched_matmul(max(repeats, 10)),
         "accumulate": bench_accumulate(max(repeats, 10)),
     }
@@ -241,6 +300,17 @@ def test_fused_lstm_matches_reference_and_is_faster():
     )
 
 
+def test_fused_decoder_matches_oracle_and_is_faster():
+    report = bench_decoder()
+    assert report["outputs_bit_identical"], report
+    assert report["max_input_grad_abs_err"] <= ATOL, report
+    assert report["max_param_grad_abs_err"] <= ATOL, report
+    assert report["speedup_vs_reference"] >= MIN_DECODER_SPEEDUP, (
+        f"fused decoder speedup {report['speedup_vs_reference']:.2f}x over the "
+        f"per-frame oracle is below the {MIN_DECODER_SPEEDUP}x gate: {report}"
+    )
+
+
 def main() -> None:
     report = run_all()
     lstm = report["lstm_forward_backward"]
@@ -251,6 +321,12 @@ def main() -> None:
     print(f"speedup vs seed      : {lstm['speedup_vs_seed']:8.2f}x  (gate >= {MIN_SPEEDUP}x)")
     print(f"max |out_f - out_r|  : {lstm['max_output_abs_err']:.3e}  (gate <= {ATOL})")
     print(f"max |grad_f - grad_r|: {lstm['max_grad_abs_err']:.3e}")
+    dec = report["decoder_forward_backward"]
+    print(f"fused decoder fwd+bwd: {dec['fused_ms']:8.2f} ms/call")
+    print(f"oracle decoder       : {dec['reference_ms']:8.2f} ms/call")
+    print(f"decoder speedup      : {dec['speedup_vs_reference']:8.2f}x  (gate >= {MIN_DECODER_SPEEDUP}x)")
+    print(f"decoder outputs equal: {dec['outputs_bit_identical']}")
+    print(f"max decoder grad err : {max(dec['max_input_grad_abs_err'], dec['max_param_grad_abs_err']):.3e}  (gate <= {ATOL})")
     print(f"batched matmul       : {report['batched_matmul']['ms']:8.2f} ms/call")
     print(f"accumulate x32       : {report['accumulate']['ms']:8.2f} ms/call")
     os.makedirs(RESULTS_DIR, exist_ok=True)

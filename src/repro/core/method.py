@@ -183,6 +183,8 @@ class LearningMethod:
         result = FitResult()
         timer = Timer()
         cap = self.config.max_batches_per_epoch
+        # Built once: the parameter set is fixed for the whole schedule.
+        params = self.all_parameters()
         with timer.measure():
             for epoch in range(self.config.epochs):
                 self.on_epoch_start(epoch, self.config.epochs)
@@ -193,7 +195,7 @@ class LearningMethod:
                     self.optimizer.zero_grad()
                     loss = self.training_step(batch, step)
                     loss.backward()
-                    clip_grad_norm(self.all_parameters(), self.config.grad_clip)
+                    clip_grad_norm(params, self.config.grad_clip)
                     self.optimizer.step()
                     losses.append(loss.item())
                 result.epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))

@@ -5,9 +5,12 @@ based prior learned in the latent space.  Training shapes the energy so
 posterior samples (inferred from the observed+future trajectory) have low
 energy while short-run Langevin samples from the model have high energy
 (contrastive divergence); inference draws the plan by Langevin dynamics and
-rolls out a recurrent decoder.  The Langevin loop plus the recurrent decoder
-make LBEBM noticeably slower than PECNet at inference, which reproduces the
-latency gap the paper reports in Table VIII.
+rolls out a recurrent decoder.  Both are sequential loops over small numpy
+kernels — 15 Langevin steps, each a forward and a closed-form gradient walk
+through the energy MLP, then one LSTM-cell step and head MLP per predicted
+frame — where PECNet's decoder is a single MLP call.  That serial work
+makes LBEBM noticeably slower than PECNet at inference, which reproduces
+the latency gap the paper reports in Table VIII.
 
 Structure mapped to the paper's backbone abstraction (Sec. II-C):
 
@@ -25,7 +28,7 @@ from repro.data.dataset import Batch
 from repro.models.base import BackboneEncoding, BackboneOutput, TrajectoryBackbone
 from repro.models.decoder import RecurrentTrajectoryDecoder
 from repro.models.embeddings import StepEmbedding, WindowEmbedding
-from repro.nn import LSTM, MLP, SocialPooling, Tensor, cat, enable_grad
+from repro.nn import LSTM, MLP, SocialPooling, Tensor, cat
 from repro.nn import functional as F
 from repro.nn._tracer import register_kernel, trace as _trace
 from repro.nn.compile import (
@@ -134,6 +137,8 @@ class LBEBM(TrajectoryBackbone):
             [hidden_size + pred_len * 2, 64, 2 * latent_dim], rng=rng
         )
         self.energy = MLP([latent_dim + hidden_size, 32, 1], rng=rng)
+        if linear_chain(self.energy) is None:
+            raise ValueError("the energy network must be a fusable MLP (no dropout)")
         # Future trajectory generator: recurrent rollout (Eq. 4-7).
         self.decoder = RecurrentTrajectoryDecoder(
             hidden_size + interaction_size + latent_dim + context_size,
@@ -176,20 +181,16 @@ class LBEBM(TrajectoryBackbone):
         standard normal.  Runs as one fused numpy loop (:func:`_langevin_np`):
         no per-iteration Tensor/graph allocation, the ``cat`` conditioning
         buffer reused with its ``h`` half written once, and the energy
-        gradient computed in closed form — bit-identical to
-        :meth:`langevin_sample_reference` (the original autograd loop, kept
-        as the golden oracle).  Under a compile tape the whole loop records
-        as a single ``lbebm_langevin`` kernel.
+        gradient computed in closed form — bit-identical to the original
+        autograd loop, which ``tests/models/oracles.py`` keeps as the golden
+        oracle.  Under a compile tape the whole loop records as a single
+        ``lbebm_langevin`` kernel.
 
         RNG contract: draws ``z0`` first, then all step noise in one block,
         which consumes the generator's stream exactly like the reference
         loop's interleaved per-step draws.
         """
         spec = linear_chain(self.energy)
-        if spec is None:
-            # Exotic energy config (training-mode dropout, custom layers):
-            # keep the autograd loop.
-            return self.langevin_sample_reference(h_detached, rng)
         batch = h_detached.shape[0]
         h = h_detached.data
         z0 = rng.standard_normal((batch, self.latent_dim))
@@ -207,37 +208,6 @@ class LBEBM(TrajectoryBackbone):
             latent_dim=self.latent_dim,
             layout=chain_layout(spec),
         )
-        return Tensor(z)
-
-    def langevin_sample_reference(
-        self, h_detached: Tensor, rng: np.random.Generator
-    ) -> Tensor:
-        """Original per-iteration autograd Langevin loop (golden oracle).
-
-        The energy parameters are taken out of the graph for the duration of
-        the loop, so each iteration differentiates only w.r.t. ``z`` — the
-        sampler neither accumulates side-effect gradients into the energy
-        network nor records parameter-sized graph nodes.
-        """
-        batch = h_detached.shape[0]
-        step = self.langevin_step_size
-        z = rng.standard_normal((batch, self.latent_dim))
-        h = h_detached.detach()
-        energy_params = self.energy.parameters()
-        saved_flags = [p.requires_grad for p in energy_params]
-        self.energy.requires_grad_(False)
-        try:
-            with enable_grad():  # needed even inside no_grad() inference
-                for _ in range(self.langevin_steps):
-                    z_var = Tensor(z, requires_grad=True)
-                    energy = self._energy_of(z_var, h).sum()
-                    energy.backward()
-                    grad = z_var.grad if z_var.grad is not None else np.zeros_like(z)
-                    noise = rng.standard_normal(z.shape)
-                    z = z - 0.5 * step * grad + np.sqrt(step) * noise
-        finally:
-            for param, flag in zip(energy_params, saved_flags):
-                param.requires_grad = flag
         return Tensor(z)
 
     # ------------------------------------------------------------------

@@ -360,15 +360,20 @@ def chain_from(layout: tuple, arrays) -> list:
     return spec
 
 
-def chain_forward_np(x: np.ndarray, spec, stash: list | None = None) -> np.ndarray:
+def chain_forward_np(
+    x: np.ndarray, spec, stash: list | None = None, inputs: list | None = None
+) -> np.ndarray:
     """Forward through the chain; mirrors eager Linear/Activation exactly.
 
     ``stash`` (when given) collects ``(pre, out)`` per activation for the
-    input-gradient walk.
+    input-gradient walk; ``inputs`` collects each linear layer's input, in
+    layer order, for weight gradients.
     """
     cur = x
     for entry in spec:
         if entry[0] == "linear":
+            if inputs is not None:
+                inputs.append(cur)
             cur = cur @ entry[1]
             if entry[2] is not None:
                 cur = cur + entry[2]
@@ -388,16 +393,22 @@ def chain_forward_np(x: np.ndarray, spec, stash: list | None = None) -> np.ndarr
     return cur
 
 
-def chain_input_grad_np(grad: np.ndarray, spec, stash: list) -> np.ndarray:
+def chain_input_grad_np(
+    grad: np.ndarray, spec, stash: list, linear_grads: list | None = None
+) -> np.ndarray:
     """Gradient of the chain output w.r.t. its input, eager-identical.
 
     ``grad`` is the upstream gradient at the chain output; ``stash`` is the
     activation record from :func:`chain_forward_np`.  Performs the same
     numpy expressions as the autograd closures in ``repro.nn.tensor``.
+    ``linear_grads`` (when given) collects the gradient at each linear
+    layer's output, last layer first.
     """
     act_index = len(stash)
     for entry in reversed(spec):
         if entry[0] == "linear":
+            if linear_grads is not None:
+                linear_grads.append(grad)
             grad = grad @ entry[1].swapaxes(-1, -2)
         else:
             act_index -= 1

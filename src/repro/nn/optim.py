@@ -6,6 +6,10 @@ other module trains at ``lr * f_low``, and the domain-specific extractor is
 frozen.  The optimizers here expose named groups with an ``lr_scale`` and a
 ``frozen`` flag so the trainer can retarget rates between phases without
 rebuilding optimizer state.
+
+:class:`Adam` keeps each group's parameters as views into one contiguous
+buffer and updates it with a few in-place ufunc calls per step, bit-identical
+to the per-parameter formula (see :class:`_FlatGroup`).
 """
 
 from __future__ import annotations
@@ -117,14 +121,18 @@ class Optimizer:
         for group in self.groups:
             if group.frozen or group.lr_scale == 0.0:
                 continue
-            lr = self.lr * group.lr_scale
-            for p in group.params:
-                if p.grad is None:
-                    continue
-                grad = p.grad
-                if group.weight_decay:
-                    grad = grad + group.weight_decay * p.data
-                self._update(p, grad, lr)
+            self._step_group(group, self.lr * group.lr_scale)
+
+    def _step_group(self, group: ParamGroup, lr: float) -> None:
+        """Update one active group: by default one ``_update`` per parameter
+        that has a gradient."""
+        for p in group.params:
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if group.weight_decay:
+                grad = grad + group.weight_decay * p.data
+            self._update(p, grad, lr)
 
     def _update(self, param: Parameter, grad: np.ndarray, lr: float) -> None:
         raise NotImplementedError
@@ -157,8 +165,67 @@ class SGD(Optimizer):
         param.data -= lr * grad
 
 
+class _FlatGroup:
+    """One group's parameters as views into a contiguous buffer, plus flat
+    Adam moments, per-parameter step counts and preallocated scratch.
+
+    Building one copies each parameter's values into the buffer and rebinds
+    ``param.data`` to its view.  ``previous`` (the group's earlier
+    :class:`_FlatGroup`) carries each surviving parameter's moments and
+    step count over, cast to the new dtype.
+    """
+
+    def __init__(self, params: list[Parameter], previous: _FlatGroup | None = None) -> None:
+        dtypes = sorted({str(p.data.dtype) for p in params})
+        if len(dtypes) > 1:
+            raise TypeError(
+                f"Adam keeps each parameter group in one buffer; this group mixes dtypes {dtypes}"
+            )
+        dtype = np.dtype(dtypes[0]) if dtypes else np.float64
+        self.params = list(params)
+        self.sizes = [p.data.size for p in params]
+        bounds = np.cumsum([0, *self.sizes]).tolist()
+        self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        total = bounds[-1]
+        self.data = np.empty(total, dtype=dtype)
+        self.m = np.zeros(total, dtype=dtype)
+        self.v = np.zeros(total, dtype=dtype)
+        self.grad = np.empty(total, dtype=dtype)
+        self.scratch = np.empty(total, dtype=dtype)
+        self.steps = np.zeros(len(params), dtype=np.int64)
+        old = {} if previous is None else {id(p): i for i, p in enumerate(previous.params)}
+        self.views = []
+        for i, (p, part) in enumerate(zip(self.params, self.slices)):
+            view = self.data[part].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self.views.append(view)
+            j = old.get(id(p))
+            if j is not None and previous.sizes[j] == self.sizes[i]:
+                self.m[part] = previous.m[previous.slices[j]]
+                self.v[part] = previous.v[previous.slices[j]]
+                self.steps[i] = previous.steps[j]
+
+    def bound_to(self, params: list[Parameter]) -> bool:
+        """Whether ``params`` are still exactly this buffer's views (no
+        parameter added, removed, or rebound by ``Module.astype`` or direct
+        assignment)."""
+        return len(params) == len(self.params) and all(
+            p is q and p.data is view for p, q, view in zip(params, self.params, self.views)
+        )
+
+
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
+    """Adam (Kingma & Ba) with bias correction.
+
+    Each group's parameters live as views in one flat buffer
+    (:class:`_FlatGroup`), and a step is a few in-place ufunc calls over
+    the whole buffer instead of an allocating update per parameter.  Each
+    call performs the same IEEE operation as the per-parameter formula
+    ``p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)``, so
+    results are bit-identical to it.  Semantics stay per parameter: one
+    whose ``grad`` is ``None`` keeps its data, moments and step count.
+    """
 
     def __init__(
         self,
@@ -171,24 +238,55 @@ class Adam(Optimizer):
         super().__init__(params_or_groups, lr, weight_decay)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._t: dict[int, int] = {}
+        self._flat = {id(g): _FlatGroup(g.params) for g in self.groups}
 
-    def _update(self, param: Parameter, grad: np.ndarray, lr: float) -> None:
-        key = id(param)
-        m = self._m.get(key)
-        if m is None:
-            m = np.zeros_like(param.data)
-            self._v[key] = np.zeros_like(param.data)
-            self._t[key] = 0
-        v = self._v[key]
-        self._t[key] += 1
-        t = self._t[key]
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad**2
-        self._m[key] = m
-        self._v[key] = v
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        param.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def _step_group(self, group: ParamGroup, lr: float) -> None:
+        flat = self._flat[id(group)]
+        if not flat.bound_to(group.params):
+            flat = self._flat[id(group)] = _FlatGroup(group.params, previous=flat)
+        params = flat.params
+        active = [p.grad is not None for p in params]
+        if not any(active):
+            return
+        grad, scratch = flat.grad, flat.scratch
+        if all(active):
+            np.concatenate([p.grad.reshape(-1) for p in params], out=grad)
+            flat.steps += 1
+            where = True
+        else:
+            for p, part, on in zip(params, flat.slices, active):
+                if on:
+                    grad[part] = p.grad.reshape(-1)
+            flat.steps[np.flatnonzero(active)] += 1
+            where = np.repeat(active, flat.sizes)
+        steps = flat.steps
+        if (steps == steps[0]).all():
+            t = int(steps[0])
+            bc1, bc2 = 1 - self.beta1**t, 1 - self.beta2**t
+        else:
+            # Per-element divisors in the buffer's dtype: the same value a
+            # Python-float scalar divisor is cast to.
+            dtype = flat.data.dtype
+            bc1 = np.repeat(np.array([1 - self.beta1 ** int(t) for t in steps], dtype), flat.sizes)
+            bc2 = np.repeat(np.array([1 - self.beta2 ** int(t) for t in steps], dtype), flat.sizes)
+        data, m, v = flat.data, flat.m, flat.v
+        if group.weight_decay:
+            np.multiply(data, group.weight_decay, out=scratch, where=where)
+            np.add(grad, scratch, out=grad, where=where)
+        # m = b1 * m + (1 - b1) * grad
+        np.multiply(m, self.beta1, out=m, where=where)
+        np.multiply(grad, 1 - self.beta1, out=scratch, where=where)
+        np.add(m, scratch, out=m, where=where)
+        # v = b2 * v + (1 - b2) * grad**2
+        np.multiply(v, self.beta2, out=v, where=where)
+        np.square(grad, out=scratch, where=where)
+        np.multiply(scratch, 1 - self.beta2, out=scratch, where=where)
+        np.add(v, scratch, out=v, where=where)
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps); grad is scratch now.
+        np.divide(m, bc1, out=scratch, where=where)
+        np.multiply(scratch, lr, out=scratch, where=where)
+        np.divide(v, bc2, out=grad, where=where)
+        np.sqrt(grad, out=grad, where=where)
+        np.add(grad, self.eps, out=grad, where=where)
+        np.divide(scratch, grad, out=scratch, where=where)
+        np.subtract(data, scratch, out=data, where=where)

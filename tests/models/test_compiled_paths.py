@@ -1,10 +1,13 @@
 """Fused model paths vs their eager/autograd golden oracles.
 
 * ``LBEBM.langevin_sample`` (buffer-reusing closed-form loop) against
-  ``langevin_sample_reference`` (the original per-iteration autograd loop)
-  at 1e-10 — the ISSUE 6 satellite gate.
-* ``RecurrentTrajectoryDecoder``'s capture-time fused rollout against the
-  eager per-step Tensor loop, bit-exactly.
+  ``langevin_sample_reference`` (the original per-iteration autograd loop,
+  kept in ``tests/models/oracles.py``) at 1e-10.
+* ``RecurrentTrajectoryDecoder``'s rollout — one numpy loop for eager
+  inference and capture, one autograd node while training — against the
+  per-frame Tensor loop in ``tests/models/oracles.py``: outputs
+  bit-exactly, gradients at 1e-10 (float64) or a dtype-derived tolerance
+  (float32).
 * End-to-end: captured ``method.predict`` replays bit-identically to eager
   for both backbones on fresh batches and seeds.
 """
@@ -18,7 +21,8 @@ from repro.baselines import build_method
 from repro.data.dataset import Batch
 from repro.models.decoder import RecurrentTrajectoryDecoder
 from repro.models.lbebm import LBEBM
-from repro.nn import Tensor, capture, inference_mode
+from repro.nn import Tensor, capture, default_dtype, inference_mode
+from tests.models.oracles import langevin_sample_reference, rollout_reference
 
 
 def make_batch(batch_size=6, neighbours=3, seed=0, obs_len=8, pred_len=12):
@@ -49,7 +53,7 @@ class TestFusedLangevin:
         model = LBEBM(rng=0)
         h = Tensor(np.random.default_rng(1).standard_normal((7, model.hidden_size)))
         fused = model.langevin_sample(h, np.random.default_rng(42))
-        reference = model.langevin_sample_reference(h, np.random.default_rng(42))
+        reference = langevin_sample_reference(model, h, np.random.default_rng(42))
         np.testing.assert_allclose(fused.data, reference.data, atol=1e-10, rtol=0.0)
 
     def test_matches_reference_under_inference_mode(self):
@@ -57,7 +61,7 @@ class TestFusedLangevin:
         h = Tensor(np.random.default_rng(2).standard_normal((4, model.hidden_size)))
         with inference_mode(model):
             fused = model.langevin_sample(h, np.random.default_rng(7))
-            reference = model.langevin_sample_reference(h, np.random.default_rng(7))
+            reference = langevin_sample_reference(model, h, np.random.default_rng(7))
         np.testing.assert_allclose(fused.data, reference.data, atol=1e-10, rtol=0.0)
 
     def test_consumes_identical_rng_stream(self):
@@ -67,7 +71,7 @@ class TestFusedLangevin:
         h = Tensor(np.random.default_rng(3).standard_normal((3, model.hidden_size)))
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         model.langevin_sample(h, rng_a)
-        model.langevin_sample_reference(h, rng_b)
+        langevin_sample_reference(model, h, rng_b)
         assert np.array_equal(rng_a.standard_normal(16), rng_b.standard_normal(16))
 
     def test_training_contrastive_loss_unchanged(self):
@@ -81,12 +85,23 @@ class TestFusedLangevin:
         assert np.isfinite(out.loss.item())
 
 
+def _rollout_grads(forward, decoder, cond, upstream):
+    """Output, conditioning gradient and parameter gradients of one
+    forward/backward with a fixed upstream gradient."""
+    decoder.zero_grad()
+    x = Tensor(cond, requires_grad=True)
+    out = forward(x)
+    (out * Tensor(upstream)).sum().backward()
+    grads = {name: p.grad for name, p in decoder.named_parameters()}
+    return out.data, x.grad, grads
+
+
 class TestFusedRollout:
     def test_fused_equals_eager_loop(self):
         decoder = RecurrentTrajectoryDecoder(10, pred_len=12, rng=0)
         cond = np.random.default_rng(4).standard_normal((5, 10))
 
-        eager = decoder(Tensor(cond)).data  # no tape: per-step Tensor loop
+        eager = rollout_reference(decoder, Tensor(cond)).data
         plan = capture(
             lambda rng: decoder(Tensor(cond)).data,
             inputs={"cond": cond},
@@ -94,10 +109,71 @@ class TestFusedRollout:
         )
         cond2 = np.random.default_rng(14).standard_normal((5, 10))
         assert np.array_equal(
-            decoder(Tensor(cond2)).data,
+            rollout_reference(decoder, Tensor(cond2)).data,
             plan.run({"cond": cond2}, np.random.default_rng(0)),
         )
         assert np.array_equal(eager, plan.run({"cond": cond}, np.random.default_rng(0)))
+        assert np.array_equal(eager, decoder(Tensor(cond)).data)
+
+    @pytest.mark.parametrize("pred_len", [12, 1])
+    def test_node_matches_oracle_float64(self, pred_len):
+        decoder = RecurrentTrajectoryDecoder(104, pred_len=pred_len, rng=0)
+        rng = np.random.default_rng(6)
+        cond = rng.standard_normal((32, 104))
+        upstream = rng.standard_normal((32, pred_len, 2))
+        out, dx, grads = _rollout_grads(decoder, decoder, cond, upstream)
+        ref_out, ref_dx, ref_grads = _rollout_grads(
+            lambda x: rollout_reference(decoder, x), decoder, cond, upstream
+        )
+        assert np.array_equal(out, ref_out)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0.0, atol=1e-10)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0.0, atol=1e-10, err_msg=name)
+
+    def test_node_matches_oracle_float32(self):
+        # Summation order differs from the per-frame graph (stacked-frame
+        # GEMMs), so gradients agree to about half of float32's digits.
+        tol = float(np.sqrt(np.finfo(np.float32).eps))
+        with default_dtype(np.float32):
+            decoder = RecurrentTrajectoryDecoder(104, pred_len=12, rng=0)
+            rng = np.random.default_rng(7)
+            cond = rng.standard_normal((16, 104)).astype(np.float32)
+            upstream = rng.standard_normal((16, 12, 2)).astype(np.float32)
+            out, dx, grads = _rollout_grads(decoder, decoder, cond, upstream)
+            ref_out, ref_dx, ref_grads = _rollout_grads(
+                lambda x: rollout_reference(decoder, x), decoder, cond, upstream
+            )
+        assert out.dtype == np.float32 and dx.dtype == np.float32
+        assert np.array_equal(out, ref_out)
+        for got, want in [(dx, ref_dx), *((grads[n], ref_grads[n]) for n in grads)]:
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+    def test_frozen_parameter_gets_no_gradient(self):
+        decoder = RecurrentTrajectoryDecoder(8, pred_len=5, rng=0)
+        decoder.cell.weight_x.requires_grad = False
+        decoder.head.net[2].bias.requires_grad = False
+        rng = np.random.default_rng(8)
+        cond = rng.standard_normal((4, 8))
+        upstream = rng.standard_normal((4, 5, 2))
+        _, dx, grads = _rollout_grads(decoder, decoder, cond, upstream)
+        _, ref_dx, ref_grads = _rollout_grads(
+            lambda x: rollout_reference(decoder, x), decoder, cond, upstream
+        )
+        assert grads["cell.weight_x"] is None and grads["head.net.2.bias"] is None
+        np.testing.assert_allclose(dx, ref_dx, rtol=0.0, atol=1e-10)
+        for name, grad in grads.items():
+            if grad is not None:
+                np.testing.assert_allclose(grad, ref_grads[name], rtol=0.0, atol=1e-10)
+
+    def test_rollout_is_one_graph_node(self):
+        decoder = RecurrentTrajectoryDecoder(6, pred_len=12, rng=0)
+        out = decoder(Tensor(np.random.default_rng(5).standard_normal((3, 6)), requires_grad=True))
+        # h0, c0, the cell's three weights and the head's four parameters.
+        assert len(out._parents) == 9
+        with inference_mode(decoder):
+            assert not decoder(Tensor(np.zeros((3, 6)))).requires_grad
 
     def test_training_path_still_differentiates(self):
         decoder = RecurrentTrajectoryDecoder(6, pred_len=4, rng=0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Parameter, SGD, Tensor, clip_grad_norm
+from repro.nn import Adam, Parameter, SGD, Tensor, clip_grad_norm, default_dtype
 from repro.nn import functional as F
 from repro.nn.layers import MLP
 
@@ -74,6 +74,127 @@ class TestAdam:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             Adam([quadratic_param()], lr=0.0)
+
+
+def reference_adam(arrays, grads, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    """The per-parameter Adam update, kept as the flat update's reference.
+
+    ``state`` maps a parameter index to its ``(m, v, t)``; a parameter whose
+    gradient is ``None`` is left untouched.
+    """
+    beta1, beta2 = betas
+    for index, (data, grad) in enumerate(zip(arrays, grads)):
+        if grad is None:
+            continue
+        if weight_decay:
+            grad = grad + weight_decay * data
+        m, v, t = state.get(index, (np.zeros_like(data), np.zeros_like(data), 0))
+        t += 1
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad**2
+        state[index] = (m, v, t)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatAdam:
+    SHAPES = {"a": [(3, 4), (4,), (2, 3, 2)], "b": [(5,), (2, 2)], "c": [(3,)]}
+
+    def run_both(self, dtype, steps=25, weight_decay=0.0):
+        rng = np.random.default_rng(11)
+        with default_dtype(dtype):
+            params = {
+                name: [Parameter(rng.standard_normal(shape)) for shape in shapes]
+                for name, shapes in self.SHAPES.items()
+            }
+        ref_arrays = {name: [p.data.copy() for p in group] for name, group in params.items()}
+        ref_state = {name: {} for name in params}
+        opt = Adam(params, lr=0.05, weight_decay=weight_decay)
+        opt.set_lr_scale("b", 0.3)
+        opt.set_frozen("c", True)
+        for step in range(steps):
+            # Group "b" is skipped by lr_scale 0 on some steps, and one
+            # parameter of "a" gets no gradient on every third step.
+            opt.set_lr_scale("b", 0.0 if step % 4 == 1 else 0.3)
+            for name, group in params.items():
+                for i, p in enumerate(group):
+                    missing = name == "a" and i == 1 and step % 3 == 0
+                    p.grad = None if missing else rng.standard_normal(p.shape).astype(dtype)
+            for group in opt.groups:
+                if group.frozen or group.lr_scale == 0.0:
+                    continue
+                grads = [p.grad for p in group.params]
+                reference_adam(
+                    ref_arrays[group.name], grads, ref_state[group.name],
+                    opt.lr * group.lr_scale, weight_decay,
+                )
+            opt.step()
+        return params, ref_arrays
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_to_per_parameter_formula(self, dtype, weight_decay):
+        params, ref_arrays = self.run_both(dtype, weight_decay=weight_decay)
+        for name, group in params.items():
+            for p, ref in zip(group, ref_arrays[name]):
+                assert p.data.dtype == dtype
+                assert np.array_equal(p.data, ref), name
+
+    def test_frozen_group_and_gradless_parameter_keep_their_data(self):
+        params, _ = self.run_both(np.float64, steps=1)
+        rng = np.random.default_rng(11)
+        initial = {
+            name: [rng.standard_normal(shape) for shape in shapes]
+            for name, shapes in self.SHAPES.items()
+        }
+        # Step 0 is one of the steps where a[1] has no gradient.
+        assert np.array_equal(params["a"][1].data, initial["a"][1])
+        assert np.array_equal(params["c"][0].data, initial["c"][0])
+        assert not np.array_equal(params["a"][0].data, initial["a"][0])
+
+    def test_parameters_are_views_of_one_buffer(self):
+        a, b = Parameter(np.ones((2, 3))), Parameter(np.zeros(4))
+        Adam([a, b], lr=0.1)
+        assert a.data.base is not None and a.data.base is b.data.base
+        assert a.data.base.shape == (10,)
+        np.testing.assert_array_equal(a.data, np.ones((2, 3)))
+
+    def test_mixed_dtype_group_is_rejected(self):
+        with default_dtype(np.float32):
+            narrow = Parameter(np.ones(2))
+        with pytest.raises(TypeError, match="mixes dtypes"):
+            Adam([Parameter(np.ones(2)), narrow], lr=0.1)
+
+    def test_astype_rebinding_keeps_parameters_training(self, rng):
+        mlp = MLP([3, 8, 1], rng=rng)
+        opt = Adam(mlp.parameters(), lr=1e-2)
+        x = rng.normal(size=(16, 3))
+        y = np.sin(x.sum(axis=1, keepdims=True))
+
+        def train_step():
+            opt.zero_grad()
+            F.mse_loss(mlp(Tensor(x)), Tensor(y)).backward()
+            opt.step()
+
+        train_step()
+        mlp.astype(np.float32)
+        before = [p.data.copy() for p in mlp.parameters()]
+        with default_dtype(np.float32):
+            train_step()
+        for p, old in zip(mlp.parameters(), before):
+            assert p.data.dtype == np.float32
+            assert not np.array_equal(p.data, old)
+
+    def test_directly_assigned_data_is_trained(self):
+        p = quadratic_param(1.0)
+        opt = Adam([p], lr=0.5)
+        p.grad = np.array([1.0])
+        opt.step()
+        p.data = np.array([10.0])
+        p.grad = np.array([1.0])
+        opt.step()
+        assert p.data[0] < 10.0
 
 
 class TestParameterGroups:
