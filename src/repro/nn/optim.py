@@ -249,6 +249,13 @@ class Adam(Optimizer):
         if not any(active):
             return
         grad, scratch = flat.grad, flat.scratch
+        # Two fast paths, each bit-identical to the general branch beside
+        # it: one concatenate with unmasked ufuncs when every parameter has
+        # a gradient, and scalar bias corrections when the step counts agree.
+        # Timed on a 2-CPU host (median of 9 interleaved blocks), a step over
+        # the vanilla-PECNet / AdapTraj-LBEBM parameter sets takes 304 / 775
+        # us with both, 623 / 1322 us with only the first, 702 / 1648 us
+        # with only the second and 1070 / 2209 us with neither.
         if all(active):
             np.concatenate([p.grad.reshape(-1) for p in params], out=grad)
             flat.steps += 1
