@@ -30,13 +30,14 @@ BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
-def _git_sha() -> str | None:
-    """The checked-out commit, or None outside a git checkout / without git."""
+def _git(*args: str) -> str | None:
+    """Stdout of one git command in the repo, or None outside a git
+    checkout / without git."""
     import subprocess
 
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
@@ -44,16 +45,34 @@ def _git_sha() -> str | None:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_sha() -> str | None:
+    """The checked-out commit, or None outside a git checkout / without git."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    return sha or None
+
+
+def _git_dirty() -> bool | None:
+    """Whether a tracked file other than a ``BENCH_*.json`` record differs
+    from the checked-out commit, i.e. whether ``git_sha`` may not name the
+    code that ran; None without git."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    if status is None:
+        return None
+    return any(
+        not re.fullmatch(r"BENCH_[^/]*\.json", line[3:]) for line in status.splitlines()
+    )
 
 
 def provenance() -> dict:
     """Run provenance stamped into every ``BENCH_*.json`` record.
 
-    Commit sha, UTC timestamp, platform, and python/numpy versions — the
-    minimum needed to line BENCH files up into a comparable perf trajectory
-    (a latency regression means nothing without knowing what ran where).
+    Commit sha (with ``git_dirty`` set when tracked code differs from it),
+    UTC timestamp, platform, and python/numpy versions — the minimum needed
+    to line BENCH files up into a comparable perf trajectory (a latency
+    regression means nothing without knowing what ran where).
     """
     import datetime
     import platform
@@ -63,6 +82,7 @@ def provenance() -> dict:
 
     return {
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "platform": platform.platform(),
         "python": sys.version.split()[0],
