@@ -3,11 +3,12 @@
 Two phases drive a real ``AsyncServingServer`` over loopback TCP through the
 seeded chaos harness (:mod:`repro.serve.faults`) and gate the failure story:
 
-* **fault storm** — one replica of a two-replica pool is wrapped in a
-  ``FaultyPredictor`` injecting seeded replica crashes and latency spikes
-  while concurrent closed-loop clients (retrying, with wire deadlines) hammer
-  the model.  Gates: **zero hung clients**, **every request resolves** as a
-  valid reply or a *typed* error (``internal`` / ``unavailable`` /
+* **fault storm** — the model's one in-process predictor is wrapped in a
+  ``FaultyPredictor`` injecting seeded crashes and latency spikes while
+  concurrent closed-loop clients (retrying, with wire deadlines) hammer the
+  model; three crashes in a row open its circuit breaker until a half-open
+  probe succeeds.  Gates: **zero hung clients**, **every request resolves**
+  as a valid reply or a *typed* error (``internal`` / ``unavailable`` /
   ``overloaded`` / ``deadline_exceeded``), and **every successful response
   replays offline to 1e-6** from ``(seed, batch_id)`` — faults must never
   corrupt the answers that do come back.
@@ -74,11 +75,10 @@ ALLOWED_ERROR_CODES = {
 }
 
 
-def start_server(predictors, **overrides) -> tuple[ServerThread, str, int]:
+def start_server(predictor, **overrides) -> tuple[ServerThread, str, int]:
     server = AsyncServingServer(
         **{
             "max_in_flight": 512,
-            "workers": 2,
             "seed": SEED,
             "flush_interval": 0.0005,
             **overrides,
@@ -86,7 +86,7 @@ def start_server(predictors, **overrides) -> tuple[ServerThread, str, int]:
     )
     server.add_model(
         MODEL,
-        predictors,
+        predictor,
         num_samples=NUM_SAMPLES,
         max_batch_size=8,
         max_wait=0.002,
@@ -145,14 +145,14 @@ def replay_records(records: list, predictor_for_batch) -> int:
 
 
 # ----------------------------------------------------------------------
-# Phase 1: replica-crash + latency storm under concurrent load
+# Phase 1: crash + latency storm under concurrent load
 # ----------------------------------------------------------------------
 def bench_fault_storm() -> dict:
     plan = FaultPlan(
         SEED,
         [
-            # Crashes: ~1 chunk in 3 on the faulty replica, after a clean
-            # warm-up so the breaker machinery sees a healthy baseline first.
+            # Crashes: ~1 chunk in 3, after a clean warm-up so the breaker
+            # machinery sees a healthy baseline first.
             FaultRule("predict", "error", rate=0.35, after=2),
             # Latency spikes: well inside the deadline, outside the typical
             # forward time — they must change nothing but the clock.
@@ -160,9 +160,8 @@ def bench_fault_storm() -> dict:
         ],
     )
     faulty = FaultyPredictor(make_predictor(SEED), plan)
-    healthy = make_predictor(SEED)  # same seed: numerically identical twin
     thread, host, port = start_server(
-        [faulty, healthy], breaker_threshold=3, breaker_cooldown=0.05
+        faulty, breaker_threshold=3, breaker_cooldown=0.05
     )
     successes: list = []
     typed_errors: dict[str, int] = {}
@@ -214,7 +213,7 @@ def bench_fault_storm() -> dict:
     with ServingClient.connect(host, port) as probe:
         stats = probe.stats()["models"][MODEL]
     thread.stop()
-    # Both replicas carry the same weights: one oracle replays everything.
+    # Faults never touch a forward that runs: one oracle replays everything.
     oracle = make_predictor(SEED)
     batches = replay_records(successes, lambda batch_id: oracle)
     return {
@@ -238,7 +237,7 @@ def bench_fault_storm() -> dict:
 # Phase 2: zero-downtime promotion mid-load
 # ----------------------------------------------------------------------
 def bench_swap_under_load() -> dict:
-    thread, host, port = start_server([make_predictor(SEED), make_predictor(SEED)])
+    thread, host, port = start_server(make_predictor(SEED))
     records: list = []
     errors: list = []
     lock = threading.Lock()
@@ -272,9 +271,7 @@ def bench_swap_under_load() -> dict:
             break
         time.sleep(0.002)
     swapped_mid_load = any(t.is_alive() for t in threads)
-    swap = thread.swap_model(
-        MODEL, lambda: make_predictor(SWAP_SEED), replicas=2
-    )
+    swap = thread.swap_model(MODEL, lambda: make_predictor(SWAP_SEED))
     for t in threads:
         t.join(timeout=JOIN_TIMEOUT)
     hung = sum(t.is_alive() for t in threads)
@@ -319,7 +316,7 @@ def assert_gates(stats: dict) -> None:
     assert storm["max_call_s"] <= MAX_CALL_SECONDS, (
         f"a call took {storm['max_call_s']}s (gate: {MAX_CALL_SECONDS}s): {storm}"
     )
-    # The storm must actually have stormed, and the pool must have served
+    # The storm must actually have stormed, and the model must have served
     # through it — otherwise the replay gate is vacuous.
     assert storm["injected"].get("predict:error", 0) >= 1, storm
     assert storm["successes"] >= 1 and sum(storm["typed_errors"].values()) >= 1, storm

@@ -3,31 +3,28 @@
 A closed-loop load generator drives a real ``AsyncServingServer`` over
 loopback TCP with the blocking ``ServingClient`` — the full wire path
 (framing, JSON/binary payloads, admission control, externally-driven
-batching, replica routing, worker-pool forwards) — and asserts the
+batching, slot routing, worker-process forwards) — and asserts the
 acceptance gates:
 
 * **throughput (coalescing, PR 4)** — 8 concurrent closed-loop clients must
   achieve >= 3x the aggregate throughput of 1 sequential client.  On a
   single CPU the gain comes entirely from coalescing: while one batch runs,
   the other clients' requests queue and pop as one padded batch.
-* **replica scaling (PR 5)** — with the same checkpoint loaded twice behind
-  one model name, aggregate concurrent throughput must reach >= 1.5x the
-  single-replica figure *when the host has >= 2 CPUs* (the router overlaps
-  flushes across replicas on the worker pool; on 1 CPU the ratio is
-  recorded but not gated — there is no second core to overlap onto).
 * **binary payload (PR 5)** — a ``binary=True`` predict response for K=20
-  must be <= 40% of the JSON response bytes for the same request.
+  must be <= 40% of the JSON response bytes for the same request (measured
+  on the 2-worker server of the horizontal-scale phase).
 * **equivalence / zero corruption** — every served prediction, from any
-  replica and either encoding, is replayed offline: responses carry
+  slot and either encoding, is replayed offline: responses carry
   ``(batch_id, row, batch_size)``, flush noise derives from
   ``default_rng((seed, batch_id))``, so each served batch is recomposed
   bit-for-bit and pushed through the offline ``predict_samples`` path;
   every row must match its client's received samples to 1e-6.  The
   ``batch_id`` sequence is *shared per model*, so this holds regardless of
-  which replica ran a batch.
+  which worker ran a batch.
 * **v1 compatibility** — a protocol-v1 JSON-only client completes the full
-  observe -> predict -> stats flow against the v2 server.
-* **horizontal scale (PR 9)** — with the replica slots running as child
+  observe -> predict -> stats flow against the v2 server (the 2-worker
+  server of the horizontal-scale phase).
+* **horizontal scale (PR 9)** — with the model's slots running as child
   *processes* (``workers=N`` + a ``WorkerSpec``), 2 workers must reach
   >= 1.5x the 1-worker throughput on >= 2 CPUs (process workers escape the
   GIL; the floor is the IPC budget), and every served prediction — from
@@ -80,18 +77,15 @@ REQUESTS_PER_CLIENT = 16  # concurrent phase: 8 x 16 = 128 requests
 SEQUENTIAL_REQUESTS = 48
 MIN_SPEEDUP = 3.0
 ATOL = 1e-6
-#: Replica phase: sample count per prediction (the "large K" regime the
-#: binary payload exists for) and the scaling gate on multi-CPU hosts.
-REPLICA_NUM_SAMPLES = 20
-REPLICA_REQUESTS_PER_CLIENT = 8
-MIN_REPLICA_SPEEDUP = 1.5
+#: Worker phase: sample count per prediction (the "large K" regime the
+#: binary payload exists for).
+WORKER_NUM_SAMPLES = 20
 #: Binary predict response must be at most this fraction of JSON bytes.
 MAX_BINARY_RATIO = 0.40
-#: Horizontal-scale gate (PR 9): 2 worker *processes* vs 1 at the same K=20
-#: regime as the replica phase.  0.75 x N efficiency on N=2 CPUs — process
-#: workers escape the GIL, so the floor is what IPC (one binary chunk frame
-#: per flush) is allowed to cost.  Like the replica gate, the ratio is always
-#: recorded but only *gated* on multi-CPU hosts.
+#: Horizontal-scale gate (PR 9): 2 worker *processes* vs 1 at K=20.
+#: 0.75 x N efficiency on N=2 CPUs — process workers escape the GIL, so the
+#: floor is what IPC (one binary chunk frame per flush) is allowed to cost.
+#: The ratio is always recorded but only *gated* on multi-CPU hosts.
 WORKER_REQUESTS_PER_CLIENT = 8
 MIN_WORKER_SPEEDUP = 1.5
 #: Coalescing window: a partial batch waits up to this long for stragglers.
@@ -115,8 +109,8 @@ def make_predictor(seed: int = 0) -> Predictor:
     """An untrained PECNet vanilla method — serving cost is weight-agnostic.
 
     The rng seed fully determines the weights, so two calls with the same
-    seed build numerically identical module trees: exactly the "same
-    checkpoint loaded N times" replica contract, without registry I/O.
+    seed build numerically identical module trees: the served model and
+    its offline replay oracle, without registry I/O.
     """
     return Predictor(build_method("vanilla", "pecnet", num_domains=1, rng=seed))
 
@@ -132,19 +126,18 @@ def request_payload(client_id: int, index: int, obs_len: int = 8):
 
 
 def start_server(
-    predictors, num_samples: int = NUM_SAMPLES, instrument: bool = True
+    predictor: Predictor, instrument: bool = True
 ) -> tuple[ServerThread, str, int]:
     server = AsyncServingServer(
         max_in_flight=512,
-        workers=2,
         seed=SEED,
         flush_interval=FLUSH_INTERVAL,
         instrument=instrument,
     )
     server.add_model(
         MODEL,
-        predictors,
-        num_samples=num_samples,
+        predictor,
+        num_samples=NUM_SAMPLES,
         max_batch_size=32,
         max_wait=MAX_WAIT,
     )
@@ -209,7 +202,7 @@ def check_equivalence(
     ``predict_samples`` path with the derived flush RNG, and asserts each
     client's received samples match its row to ``ATOL``.  Returns the number
     of batches checked.  A missing row (a request coalesced from elsewhere)
-    or a mismatch would both be cross-client corruption — and with replicas,
+    or a mismatch would both be cross-client corruption — and with workers,
     a broken shared-``batch_id`` invariant would surface here as either.
     """
     by_batch: dict[int, list] = {}
@@ -331,81 +324,15 @@ def bench_coalescing(blocks: int = 2) -> dict:
     }
 
 
-def bench_replicas_and_binary(blocks: int = 2) -> dict:
-    """PR 5 gates: replica scaling, binary payload size, mixed replay, v1.
-
-    Runs the identical mixed-encoding concurrent load against a 1-replica
-    and a 2-replica server at K=20, measures the binary/JSON response-byte
-    ratio, replays every record offline, and drives the v1 compat flow.
-    """
-    results: dict = {
-        "num_samples": REPLICA_NUM_SAMPLES,
-        "num_clients": NUM_CLIENTS,
-        "requests_per_client": REPLICA_REQUESTS_PER_CLIENT,
-        "cpu_count": os.cpu_count(),
-    }
-    reference = make_predictor()  # replay oracle: same seed as every replica
-
-    def timed_load(num_replicas: int) -> tuple[float, list]:
-        predictors = [make_predictor() for _ in range(num_replicas)]
-        thread, host, port = start_server(
-            predictors if num_replicas > 1 else predictors[0],
-            num_samples=REPLICA_NUM_SAMPLES,
-        )
-        try:
-            run_load(host, port, 2, 4, mixed_binary=True)  # warm-up
-            best_s, all_records = float("inf"), []
-            for _ in range(blocks):
-                elapsed, records = run_load(
-                    host,
-                    port,
-                    NUM_CLIENTS,
-                    REPLICA_REQUESTS_PER_CLIENT,
-                    mixed_binary=True,
-                )
-                best_s = min(best_s, elapsed)
-                all_records.extend(records)
-            if num_replicas > 1:
-                results["json_bytes"], results["binary_bytes"] = (
-                    measure_payload_bytes(host, port)
-                )
-                results["v1_compat_exchanges"] = run_v1_compat_flow(host, port)
-                with ServingClient.connect(host, port) as client:
-                    replicas = client.stats()["models"][MODEL]["replicas"]
-                results["replica_chunks"] = [r["chunks"] for r in replicas]
-        finally:
-            thread.stop()
-        return best_s, all_records
-
-    single_s, single_records = timed_load(1)
-    double_s, double_records = timed_load(2)
-    total = NUM_CLIENTS * REPLICA_REQUESTS_PER_CLIENT
-    results["one_replica_req_per_s"] = round(total / single_s, 2)
-    results["two_replica_req_per_s"] = round(total / double_s, 2)
-    results["replica_speedup"] = round(single_s / double_s, 3)
-    results["binary_ratio"] = round(results["binary_bytes"] / results["json_bytes"], 4)
-    # Replay per topology: each server has its own batch_id sequence.
-    results["equivalence_batches_checked"] = check_equivalence(
-        reference, single_records, num_samples=REPLICA_NUM_SAMPLES
-    ) + check_equivalence(
-        reference, double_records, num_samples=REPLICA_NUM_SAMPLES
-    )
-    return results
-
-
 def start_worker_pool_server(num_workers: int) -> tuple[ServerThread, str, int]:
-    """A server whose replica slots are supervised child processes.
+    """A server whose slots are supervised child processes.
 
     The worker factory is :func:`repro.serve.workers.seeded_predictor` with
     the same seed as :func:`make_predictor`, so every child builds weights
-    numerically identical to the local replay oracle — the process-sharding
-    equivalent of "the same checkpoint loaded N times".
+    numerically identical to the local replay oracle.
     """
     server = AsyncServingServer(
         max_in_flight=512,
-        # Parent threads only block on worker sockets (GIL released while a
-        # child computes), so the pool needs >= one thread per process slot.
-        workers=num_workers + 1,
         seed=SEED,
         flush_interval=FLUSH_INTERVAL,
     )
@@ -415,7 +342,7 @@ def start_worker_pool_server(num_workers: int) -> tuple[ServerThread, str, int]:
             factory="repro.serve.workers:seeded_predictor", kwargs={"seed": 0}
         ),
         workers=num_workers,
-        num_samples=REPLICA_NUM_SAMPLES,
+        num_samples=WORKER_NUM_SAMPLES,
         max_batch_size=32,
         max_wait=MAX_WAIT,
     )
@@ -427,14 +354,15 @@ def start_worker_pool_server(num_workers: int) -> tuple[ServerThread, str, int]:
 def bench_workers(blocks: int = 2) -> dict:
     """PR 9 gate: process workers scale across CPUs, replay unchanged.
 
-    The identical mixed-encoding closed-loop load as the replica phase, but
-    with the forward running in supervised child processes: 1-worker vs
-    2-worker throughput, per-worker chunk/process stats, and an offline
-    replay of *every* record against a local predictor — served samples
-    must be independent of which process ran the flush.
+    A mixed-encoding closed-loop load at K=20 with the forward running in
+    supervised child processes: 1-worker vs 2-worker throughput, per-worker
+    chunk/process stats, and an offline replay of *every* record against a
+    local predictor — served samples must be independent of which process
+    ran the flush.  The 2-worker server also answers the binary/JSON
+    response-byte measurement and the v1 compat flow.
     """
     results: dict = {
-        "num_samples": REPLICA_NUM_SAMPLES,
+        "num_samples": WORKER_NUM_SAMPLES,
         "num_clients": NUM_CLIENTS,
         "requests_per_client": WORKER_REQUESTS_PER_CLIENT,
         "cpu_count": os.cpu_count(),
@@ -467,6 +395,11 @@ def bench_workers(blocks: int = 2) -> dict:
             assert all(r["worker"]["alive"] for r in replicas), (
                 f"worker died under benchmark load: {replicas}"
             )
+            if num_workers == 2:
+                results["json_bytes"], results["binary_bytes"] = (
+                    measure_payload_bytes(host, port)
+                )
+                results["v1_compat_exchanges"] = run_v1_compat_flow(host, port)
         finally:
             thread.stop()
         return best_s, all_records
@@ -477,11 +410,12 @@ def bench_workers(blocks: int = 2) -> dict:
     results["one_worker_req_per_s"] = round(total / single_s, 2)
     results["two_worker_req_per_s"] = round(total / double_s, 2)
     results["worker_speedup"] = round(single_s / double_s, 3)
+    results["binary_ratio"] = round(results["binary_bytes"] / results["json_bytes"], 4)
     # Replay per topology: each server has its own batch_id sequence.
     results["equivalence_batches_checked"] = check_equivalence(
-        reference, single_records, num_samples=REPLICA_NUM_SAMPLES
+        reference, single_records, num_samples=WORKER_NUM_SAMPLES
     ) + check_equivalence(
-        reference, double_records, num_samples=REPLICA_NUM_SAMPLES
+        reference, double_records, num_samples=WORKER_NUM_SAMPLES
     )
     return results
 
@@ -599,7 +533,6 @@ def bench_observability(blocks: int = 2) -> dict:
 def bench(blocks: int = 2) -> dict:
     return {
         "coalescing": bench_coalescing(blocks),
-        "replicas_and_binary": bench_replicas_and_binary(blocks),
         "workers": bench_workers(blocks),
         "observability": bench_observability(blocks),
     }
@@ -623,30 +556,18 @@ def assert_gates(stats: dict) -> None:
         f"{NUM_CLIENTS} concurrent clients only {coalescing['speedup']:.2f}x over "
         f"one sequential client (gate: {MIN_SPEEDUP}x): {coalescing}"
     )
-    replicas = stats["replicas_and_binary"]
-    assert replicas["binary_ratio"] <= MAX_BINARY_RATIO, (
-        f"binary predict response is {replicas['binary_ratio']:.0%} of JSON at "
-        f"K={REPLICA_NUM_SAMPLES} (gate: <= {MAX_BINARY_RATIO:.0%}): {replicas}"
-    )
-    assert replicas["v1_compat_exchanges"] >= 12
-    if (os.cpu_count() or 1) >= 2:
-        # On 1 CPU there is no second core to overlap onto: the ratio and
-        # per-replica chunk counts are recorded but not gated (the
-        # deterministic both-replicas-execute check lives in
-        # tests/serve/test_server.py with a delayed stub predictor).
-        assert all(count > 0 for count in replicas["replica_chunks"]), (
-            f"the router starved a replica: {replicas['replica_chunks']}"
-        )
-        assert replicas["replica_speedup"] >= MIN_REPLICA_SPEEDUP, (
-            f"2 replicas only {replicas['replica_speedup']:.2f}x over 1 on "
-            f"{os.cpu_count()} CPUs (gate: {MIN_REPLICA_SPEEDUP}x): {replicas}"
-        )
     workers = stats["workers"]
+    assert workers["binary_ratio"] <= MAX_BINARY_RATIO, (
+        f"binary predict response is {workers['binary_ratio']:.0%} of JSON at "
+        f"K={WORKER_NUM_SAMPLES} (gate: <= {MAX_BINARY_RATIO:.0%}): {workers}"
+    )
+    assert workers["v1_compat_exchanges"] >= 12
     assert workers["equivalence_batches_checked"] > 0, workers
     if (os.cpu_count() or 1) >= 2:
         # 1-CPU hosts: IPC overhead with no second core to hide it on — the
-        # ratio is recorded, not gated (the crash/stall/replay contracts are
-        # gated deterministically in tests/serve/test_workers.py).
+        # ratio is recorded, not gated (the crash/stall/replay contracts and
+        # the both-workers-execute check are gated deterministically in
+        # tests/serve/test_workers.py).
         assert all(count > 0 for count in workers["2_worker_chunks"]), (
             f"the router starved a worker process: {workers['2_worker_chunks']}"
         )
@@ -674,7 +595,7 @@ def assert_gates(stats: dict) -> None:
 # ----------------------------------------------------------------------
 # Pytest gates
 # ----------------------------------------------------------------------
-def test_server_throughput_replicas_binary_and_equivalence_gates():
+def test_server_throughput_workers_binary_and_equivalence_gates():
     stats = bench()
     write_results(stats)
     assert_gates(stats)
@@ -720,13 +641,13 @@ def test_worker_pool_round_trip_equivalence():
     finally:
         thread.stop()
     assert check_equivalence(
-        make_predictor(), records, num_samples=REPLICA_NUM_SAMPLES
+        make_predictor(), records, num_samples=WORKER_NUM_SAMPLES
     ) >= 1
 
 
 def test_v1_client_compat_smoke():
     """Standalone v1-client-against-v2-server smoke (no load)."""
-    thread, host, port = start_server([make_predictor(), make_predictor()])
+    thread, host, port = start_server(make_predictor())
     try:
         assert run_v1_compat_flow(host, port) >= 12
     finally:

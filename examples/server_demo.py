@@ -56,7 +56,7 @@ def main() -> None:
     print(f"published {MODEL} v{version}")
 
     # 2. Serve it over TCP.
-    server = AsyncServingServer(max_in_flight=128, workers=2, seed=0)
+    server = AsyncServingServer(max_in_flight=128, seed=0)
     server.add_model(
         MODEL, registry.load(MODEL), num_samples=5, max_batch_size=32, max_wait=0.002
     )

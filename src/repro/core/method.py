@@ -21,8 +21,8 @@ from repro.data.dataset import Batch, TrajectoryDataset
 from repro.metrics.displacement import best_of_ade_fde
 from repro.models.base import TrajectoryBackbone
 from repro.nn import Adam, Module, Parameter, Tensor, clip_grad_norm, inference_mode
+from repro.obs.trace import Span
 from repro.utils.seeding import new_rng
-from repro.utils.timing import Timer
 
 __all__ = ["FitResult", "LearningMethod", "StepContext"]
 
@@ -181,11 +181,10 @@ class LearningMethod:
         if self.optimizer is None:
             self.optimizer = Adam(self.parameter_groups(), lr=self.config.learning_rate)
         result = FitResult()
-        timer = Timer()
         cap = self.config.max_batches_per_epoch
         # Built once: the parameter set is fixed for the whole schedule.
         params = self.all_parameters()
-        with timer.measure():
+        with Span("fit") as span:
             for epoch in range(self.config.epochs):
                 self.on_epoch_start(epoch, self.config.epochs)
                 losses = []
@@ -202,7 +201,7 @@ class LearningMethod:
                 if val is not None and eval_every and (epoch + 1) % eval_every == 0:
                     ade, fde = self.evaluate(val)
                     result.val_history.append((epoch, ade, fde))
-        result.train_seconds = timer.total
+        result.train_seconds = span.duration_s
         return result
 
     def evaluate(

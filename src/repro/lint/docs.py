@@ -1,8 +1,8 @@
 """REP-DOC — intra-repo markdown links and anchors must resolve.
 
-This is ``tools/check_docs_links.py`` folded into the lint framework (the
-tool remains as a thin CLI shim for the existing CI ``docs`` job).  Scans
-every ``*.md`` file for inline links/images and reports a finding when a
+Runs with every ``python -m repro.lint`` (CI's ``lint`` job, and tier-1's
+``tests/lint/test_repo_clean.py``); ``--select REP-DOC`` runs it alone.
+Scans every ``*.md`` file for inline links/images and reports a finding when a
 relative target does not exist, or a ``#fragment`` matches no heading of
 the target document (GitHub-style slugs).  External schemes are skipped —
 the linter must never touch the network.

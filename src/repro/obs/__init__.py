@@ -5,9 +5,9 @@ Three small modules, no third-party dependencies:
 * :mod:`repro.obs.metrics` — thread-safe counters/gauges/histograms with
   fixed log-spaced buckets (deterministic snapshots) and a labeled
   :class:`~repro.obs.metrics.MetricsRegistry`.
-* :mod:`repro.obs.trace` — request-lifecycle spans over the canonical
-  serving stages (admission → queue wait → coalesce → route → inference →
-  encode).
+* :mod:`repro.obs.trace` — the canonical serving stages (admission →
+  queue wait → coalesce → route → inference → encode) and :class:`Span`,
+  the one stopwatch.
 * :mod:`repro.obs.log` — structured one-line-JSON event logging.
 
 See ``docs/observability.md`` for the instrument catalogue and wire
@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     log_bounds,
 )
-from repro.obs.trace import STAGES, RequestTrace, Span, record_stages
+from repro.obs.trace import STAGES, Span, record_stages
 
 __all__ = [
     "Counter",
@@ -32,7 +32,6 @@ __all__ = [
     "Histogram",
     "JsonLogger",
     "MetricsRegistry",
-    "RequestTrace",
     "STAGES",
     "Span",
     "get_logger",

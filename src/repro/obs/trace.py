@@ -2,13 +2,11 @@
 
 A served prediction crosses several queues and threads; a single
 submit→resolve latency number cannot say *where* time went.  This module
-defines the canonical stage names and two small helpers the serving stack
-uses to time them:
-
-* :class:`Span` — a context-manager stopwatch for one stage.
-* :class:`RequestTrace` — a per-request bag of stage durations, rendered
-  into the wire-visible ``meta.trace`` object when a request sets
-  ``trace: true`` (see ``docs/observability.md``).
+defines the canonical stage names, :func:`record_stages` (stage durations
+into per-model histograms) and :class:`Span`, the codebase's one
+context-manager stopwatch (``LearningMethod.fit`` times training with it).
+A request that sets ``trace: true`` gets its stage durations back in
+``meta.trace`` (see ``docs/observability.md``).
 
 The canonical stages (:data:`STAGES`), in request order:
 
@@ -20,7 +18,7 @@ The canonical stages (:data:`STAGES`), in request order:
     Collating the popped requests into one padded batch.
 ``route``
     Popped chunk scheduled until its worker thread starts executing
-    (replica lock wait + executor hand-off).
+    (slot lock wait + executor hand-off).
 ``inference``
     The model forward (``predictor.predict_world``) on the worker thread.
 ``encode``
@@ -39,7 +37,7 @@ from collections.abc import Callable, Mapping
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["RequestTrace", "STAGES", "Span", "record_stages"]
+__all__ = ["STAGES", "Span", "record_stages"]
 
 #: Canonical request-lifecycle stage names, in request order.
 STAGES = ("admission", "queue_wait", "coalesce", "route", "inference", "encode")
@@ -58,7 +56,7 @@ class Span:
     True
 
     ``on_close`` (when given) receives ``(name, duration_s)`` as the span
-    exits — the hook :meth:`RequestTrace.span` uses to collect durations.
+    exits, even when the block raised.
     """
 
     __slots__ = ("name", "clock", "started_at", "duration_s", "_on_close")
@@ -83,45 +81,6 @@ class Span:
         self.duration_s = self.clock() - self.started_at
         if self._on_close is not None:
             self._on_close(self.name, self.duration_s)
-
-
-class RequestTrace:
-    """Stage durations of one request, JSON-ready.
-
-    Not thread-safe by design: one trace belongs to one request handler.
-    Stages recorded twice accumulate (a retried stage reports its total).
-    """
-
-    __slots__ = ("stages", "clock", "started_at")
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self.stages: dict[str, float] = {}
-        self.clock = clock
-        self.started_at = clock()
-
-    def record(self, stage: str, seconds: float) -> None:
-        """Add ``seconds`` to ``stage`` (creates the stage on first record)."""
-        self.stages[stage] = self.stages.get(stage, 0.0) + float(seconds)
-
-    def update(self, stages: Mapping[str, float]) -> None:
-        """Record every ``stage -> seconds`` entry of a mapping."""
-        for stage, seconds in stages.items():
-            self.record(stage, seconds)
-
-    def span(self, stage: str) -> Span:
-        """A :class:`Span` that records into this trace when it exits."""
-        return Span(stage, clock=self.clock, on_close=lambda _n, s: self.record(stage, s))
-
-    def total_s(self) -> float:
-        """Wall clock since this trace was created."""
-        return self.clock() - self.started_at
-
-    def as_meta(self) -> dict:
-        """The wire-visible ``meta.trace`` object (microsecond rounding)."""
-        return {
-            "stages": {name: round(secs, 6) for name, secs in self.stages.items()},
-            "total_s": round(self.total_s(), 6),
-        }
 
 
 def record_stages(

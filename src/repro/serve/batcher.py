@@ -230,7 +230,7 @@ def batch_to_wire(batch: Batch) -> dict:
 
     Collation happens *parent-side* (one shared queue / ``batch_id``
     sequence per model), so a worker process receives exactly the padded
-    tensors an in-process replica would see — the replay invariant cannot
+    tensors an in-process predictor would see — the replay invariant cannot
     depend on worker placement.  All fields ride the binary tensor tail
     (float64 on the wire; ``neighbour_mask``/``domain_ids`` are carried as
     floats because the tail admits ``<f4``/``<f8`` only) except ``future``,
@@ -602,10 +602,10 @@ class MicroBatcher:
         Runs without the queue lock (the chunk is owned by the caller), so it
         is safe to call from a worker thread while the event loop keeps
         accepting submissions.  ``predictor`` overrides the batcher's own —
-        the replica-routing server runs chunks from one shared queue on
-        whichever replica the router picked; replicas are numerically
-        identical, so the per-flush RNG derivation keeps the result (and its
-        offline replay) independent of the choice.  On failure every handle
+        the server runs chunks from one shared queue on whichever slot the
+        router picked; slots are numerically identical, so the per-flush RNG
+        derivation keeps the result (and its offline replay) independent of
+        the choice.  On failure every handle
         in the chunk gets the exception as its *terminal* error —
         externally-driven flushes never requeue, a poisoned batch must not
         retry forever — and the exception propagates so the scheduler can

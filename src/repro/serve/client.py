@@ -25,8 +25,8 @@ Three serving-hardening features layer on top of the bare round trip:
   makes the client send protocol-v2 binary frames (``obs``/``neighbours``
   as raw float64 tails) and ask for binary responses (``samples`` as a raw
   float32/float64 tail), cutting predict response bytes to well under half
-  of JSON for large ``K``.  Check :meth:`supports_binary` first when the
-  server version is unknown.
+  of JSON for large ``K``.  :meth:`supports_binary` reads the server's
+  advertisement from ``health``.
 
 >>> with ServingClient.connect(host, port, retry=RetryPolicy()) as client:
 ...     client.health()["status"]
@@ -56,7 +56,7 @@ class RetryPolicy:
 
     * ``overloaded`` responses — admission control shed the request; back
       off and resubmit on the same connection;
-    * ``unavailable`` responses — every replica's circuit breaker is open;
+    * ``unavailable`` responses — every slot's circuit breaker is open;
       the cooldown-then-probe cycle means a later attempt may find a closed
       breaker;
     * transport failures (timeout, dropped/poisoned connection, framing
@@ -139,24 +139,17 @@ class ServingClient:
         timeout: float | None = None,
         binary: bool = False,
         dtype: str = "f4",
-        version: int = protocol.PROTOCOL_VERSION,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if dtype not in ("f4", "f8"):
             raise ValueError(f"dtype must be 'f4' or 'f8', got {dtype!r}")
-        if version not in protocol.SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported protocol version {version!r}")
         self._sock = sock
         self._address = address
         self._timeout = timeout
         self._next_id = 0
         self.binary = binary
         self.dtype = dtype
-        #: Envelope version stamped on requests.  ``version=1`` makes this
-        #: client speak pure v1 (accepted by v1 and v2 servers alike) — the
-        #: downgrade path when the server generation is unknown.
-        self.version = version
         self.retry = retry
         self._sleep = sleep
         self._retry_rng = np.random.default_rng(retry.seed if retry else 0)
@@ -174,7 +167,6 @@ class ServingClient:
         *,
         binary: bool = False,
         dtype: str = "f4",
-        version: int = protocol.PROTOCOL_VERSION,
         retry: RetryPolicy | None = None,
     ) -> ServingClient:
         """Open a connection to a running :class:`AsyncServingServer`."""
@@ -185,7 +177,6 @@ class ServingClient:
             timeout=timeout,
             binary=binary,
             dtype=dtype,
-            version=version,
             retry=retry,
         )
 
@@ -320,7 +311,7 @@ class ServingClient:
     def _call_once(self, op: str, fields: dict) -> dict:
         self._next_id += 1
         req_id = self._next_id
-        message = {"v": self.version, "id": req_id, "op": op, **fields}
+        message = {"v": protocol.PROTOCOL_VERSION, "id": req_id, "op": op, **fields}
         if self.binary:
             message["bin"] = True
             message["dtype"] = self.dtype
@@ -365,20 +356,8 @@ class ServingClient:
         return self.call("health")
 
     def supports_binary(self) -> bool:
-        """Whether the server negotiates the v2 binary frame encoding.
-
-        The probe goes out as a plain v1 JSON health request — the one
-        envelope every server generation accepts — so against a v1-only
-        server this returns ``False`` instead of raising
-        ``unsupported_version``.
-        """
-        saved = self.version
-        self.version = 1
-        try:
-            health = self.health()
-        finally:
-            self.version = saved
-        return bool(health.get("binary")) or health.get("protocol", 1) >= 2
+        """Whether the server advertises the v2 binary frame encoding."""
+        return bool(self.health().get("binary"))
 
     def stats(self) -> dict:
         """Server and per-model counters (queue depth, latency, overloads)."""

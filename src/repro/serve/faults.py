@@ -8,10 +8,10 @@ cover the stack:
 
 * :class:`FaultyPredictor` — wraps a real :class:`~repro.serve.predictor.
   Predictor` and consults the plan before every ``predict_world`` call
-  (site ``"predict"`` by default).  This is how replica crashes and slow
-  forwards are simulated: the wrapped replica is registered with the server
-  like any other, and the batcher/router/breaker machinery sees genuine
-  mid-chunk exceptions and genuine slowness.
+  (site ``"predict"`` by default).  This is how slot crashes and slow
+  forwards are simulated: the wrapped predictor is registered with the
+  server like any other, and the batcher/router/breaker machinery sees
+  genuine mid-chunk exceptions and genuine slowness.
 * :class:`ChaosProxy` — a frame-aware TCP proxy between a client and a
   server that can drop connections or stall/delay individual response
   frames (site ``"response"``), exercising the client's poisoning,
@@ -26,7 +26,7 @@ drop fault severs the TCP stream.  Successful responses therefore keep the
 
 >>> plan = FaultPlan(seed=13, rules=[FaultRule("predict", "error", rate=0.2)])
 >>> faulty = FaultyPredictor(predictor, plan)
->>> server.add_model("m", [faulty, healthy_sibling])
+>>> server.add_model("m", faulty)
 """
 
 from __future__ import annotations
@@ -200,11 +200,12 @@ class FaultPlan:
 class FaultyPredictor:
     """Wrap a predictor so its forwards consult a :class:`FaultPlan` first.
 
-    Everything except ``predict_world`` delegates to the wrapped predictor —
-    including attribute access, so ``obs_len`` / ``pred_len`` validation and
-    the server's shared-module-tree check (``getattr(p, "method", p)``) see
-    the real thing.  Fault outcomes: an ``error`` draw raises
-    :class:`FaultError` *instead of* running the forward (a crashed replica
+    Everything except ``predict_world`` delegates to the wrapped predictor
+    through attribute access — ``obs_len`` / ``pred_len`` validation, and
+    ``close`` plus the ``compile_stats`` / ``worker_stats`` hooks, so a
+    wrapped worker-process slot still reports its process and is still
+    killed at shutdown.  Fault outcomes: an ``error`` draw raises
+    :class:`FaultError` *instead of* running the forward (a crashed slot
     computes nothing); latency/stall draws sleep, then run the real forward —
     results stay numerically identical to the clean run, which is what keeps
     injected latency inside the replay-equivalence gate.

@@ -156,7 +156,7 @@ E_INTERNAL = "internal"  #: unexpected server-side failure
 #: ``metrics`` op: no version bump — older clients simply never send a
 #: deadline and never see this code.
 E_DEADLINE_EXCEEDED = "deadline_exceeded"
-#: Every replica of the requested model has an open circuit breaker; the
+#: Every slot of the requested model has an open circuit breaker; the
 #: request is fast-failed instead of queueing into a dead pool.  Transient:
 #: retry with backoff (a half-open probe closes the breaker on recovery).
 E_UNAVAILABLE = "unavailable"

@@ -18,18 +18,18 @@ state; model forwards never run on it:
   in externally-driven mode: requests from all connections coalesce in one
   queue, a background flush loop (plus a drain after every submit) pops due
   work with ``take_ready`` and executes it via ``run_chunk`` on a bounded
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  While every replica of a
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  While every slot of a
   model is mid flush, partial batches are withheld, so backpressure turns a
   convoy of single requests into genuinely coalesced batches (adaptive
   batching).
-* **Replica routing** — a model may be registered with N replicas (the same
-  checkpoint loaded N times, optionally with routing weights); a
-  :class:`Router` assigns each popped flush chunk to the weighted
-  least-in-flight replica, so flushes of one model overlap across replicas
-  while each individual module tree stays single-threaded.  The queue —
-  and with it ``batch_id`` assignment and the per-flush RNG derivation —
-  stays *shared per model*, so the offline replay invariant is untouched by
-  which replica ran a batch.
+* **Slots** — a model runs on one in-process :class:`Predictor`, or on N
+  supervised worker-process slots (a :class:`~repro.serve.workers.WorkerSpec`
+  with ``workers=N``); a :class:`Router` assigns each popped flush chunk to
+  the least-in-flight slot, so flushes of one model overlap across
+  processes while each slot stays single-threaded.  The queue — and with it
+  ``batch_id`` assignment and the per-flush RNG derivation — stays *shared
+  per model*, so the offline replay invariant is untouched by which slot
+  ran a batch.
 * **Admission control** — a configurable cap on in-flight predictions; work
   beyond it is fast-failed with an ``overloaded`` response instead of being
   queued without bound.  Queue depth, in-flight peaks, and per-model latency
@@ -100,12 +100,12 @@ class OverloadedError(RuntimeError):
 
 
 class UnavailableError(RuntimeError):
-    """Every replica of a model has an open circuit breaker.
+    """Every slot of a model has an open circuit breaker.
 
     Answered as the typed ``unavailable`` fast-fail: work is refused at
     admission (and any chunk caught mid-pop is failed the same way) instead
     of queueing into a pool that cannot serve it.  Transient by design — a
-    half-open probe closes a breaker the moment the replica recovers.
+    half-open probe closes a breaker the moment the slot recovers.
     """
 
 
@@ -116,15 +116,14 @@ class CircuitBreaker:
 
     * ``closed`` — healthy.  Every successful chunk resets the consecutive
       error count; ``threshold`` consecutive failed chunks open the breaker.
-    * ``open`` — the replica is skipped by the router (its weight is
-      effectively renormalized away).  After ``cooldown`` seconds the next
-      availability check moves to half-open.
+    * ``open`` — the slot is skipped by the router.  After ``cooldown``
+      seconds the next availability check moves to half-open.
     * ``half_open`` — exactly one probe chunk is admitted (the router
       enforces the single-probe limit).  Success closes the breaker;
       failure re-opens it and restarts the cooldown.
 
-    Failure here means the replica's *forward raised* — deadline expiry and
-    shutdown never count against a replica's health.
+    Failure here means the slot's *forward raised* — deadline expiry and
+    shutdown never count against a slot's health.
     """
 
     CLOSED = "closed"
@@ -166,7 +165,7 @@ class CircuitBreaker:
             self.opened_at = self.clock()
 
     def available(self, now: float | None = None) -> bool:
-        """Whether the replica may take work right now.
+        """Whether the slot may take work right now.
 
         An open breaker whose cooldown elapsed transitions to half-open here
         (availability checks are the only timer this class has); the caller
@@ -193,21 +192,20 @@ class CircuitBreaker:
 
 
 class _Replica:
-    """One copy of a model: its own module tree, flush lock, and counters.
+    """One slot of a model: its predictor, flush lock, and counters.
 
     ``active`` counts chunks routed here and not yet finished (scheduled or
-    running); it is both the router's load signal and, summed over replicas,
+    running); it is both the router's load signal and, summed over slots,
     the model's "busy" signal for adaptive batching.  The asyncio lock
-    serializes flushes *per replica* — ``inference_mode`` training-flag
+    serializes flushes *per slot* — ``inference_mode`` training-flag
     save/restore is per-module state, so one module tree must never run on
-    two threads, but distinct replicas (and distinct models) overlap freely
-    on the worker pool.
+    two threads, but distinct slots (and distinct models) overlap freely
+    on the thread pool.
     """
 
     __slots__ = (
         "index",
         "predictor",
-        "weight",
         "lock",
         "active",
         "chunks",
@@ -217,49 +215,36 @@ class _Replica:
     )
 
     def __init__(
-        self,
-        index: int,
-        predictor: Predictor,
-        weight: float,
-        breaker: CircuitBreaker | None = None,
+        self, index: int, predictor: Predictor, breaker: CircuitBreaker
     ) -> None:
         self.index = index
         self.predictor = predictor
-        self.weight = weight
         self.lock = asyncio.Lock()
         self.active = 0
         self.chunks = 0
         self.completed = 0
         self.errors = 0
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = breaker
 
 
 class Router:
-    """Weighted least-in-flight routing over a model's replicas.
+    """Least-in-flight routing over a model's slots.
 
-    Picks the replica minimizing ``active / weight`` (ties broken by lowest
-    index, so routing is deterministic given the load state).  A replica
-    with weight 2 is treated as half as loaded at equal in-flight depth and
-    therefore absorbs roughly twice the chunks of a weight-1 sibling under
-    saturation.  Routing never affects results: replicas are numerically
-    identical and every chunk's noise derives from ``(seed, batch_id)``
-    alone, so the replay invariant holds regardless of placement.
+    Picks the slot with the fewest active chunks (ties broken by lowest
+    index, so routing is deterministic given the load state).  Routing
+    never affects results: slots are numerically identical and every
+    chunk's noise derives from ``(seed, batch_id)`` alone, so the replay
+    invariant holds regardless of placement.
 
-    Circuit breakers gate admission per replica: an open breaker removes
-    its replica from the candidate set (the surviving weights renormalize
-    implicitly — load just redistributes by the same ``active / weight``
-    rule), and a half-open breaker admits exactly one probe chunk at a
-    time.  When no replica is admittable, :meth:`pick` returns ``None``.
+    Circuit breakers gate admission per slot: an open breaker removes its
+    slot from the candidate set, and a half-open breaker admits exactly one
+    probe chunk at a time.  When no slot is admittable, :meth:`pick`
+    returns ``None``.
     """
 
     def __init__(self, replicas: list[_Replica]) -> None:
         if not replicas:
-            raise ValueError("router needs at least one replica")
-        for replica in replicas:
-            if not replica.weight > 0:
-                raise ValueError(
-                    f"replica weights must be > 0, got {replica.weight!r}"
-                )
+            raise ValueError("router needs at least one slot")
         self.replicas = list(replicas)
 
     def _admittable(self, replica: _Replica, now: float) -> bool:
@@ -267,22 +252,22 @@ class Router:
             return False
         if replica.breaker.state == CircuitBreaker.HALF_OPEN:
             # One probe at a time: the probe's verdict decides the breaker,
-            # so piling work onto a half-open replica defeats the point.
+            # so piling work onto a half-open slot defeats the point.
             return replica.active == 0
         return True
 
     def pick(self) -> _Replica | None:
-        """The replica the next chunk should run on (None: all gated)."""
+        """The slot the next chunk should run on (None: all gated)."""
         now = time.monotonic()
         candidates = [r for r in self.replicas if self._admittable(r, now)]
         if not candidates:
             return None
-        return min(candidates, key=lambda r: (r.active / r.weight, r.index))
+        return min(candidates, key=lambda r: (r.active, r.index))
 
     def any_available(self, now: float | None = None) -> bool:
         """True while at least one breaker would let work through eventually.
 
-        Half-open replicas count even while their probe is in flight — work
+        Half-open slots count even while their probe is in flight — work
         should *wait* for the probe's verdict, not fast-fail.  False only
         when every breaker is open and cooling down.
         """
@@ -291,7 +276,7 @@ class Router:
 
     @property
     def idle(self) -> bool:
-        """True while at least one admittable replica has no work in flight."""
+        """True while at least one admittable slot has no work in flight."""
         now = time.monotonic()
         return any(
             replica.active == 0 and self._admittable(replica, now)
@@ -322,15 +307,15 @@ def _parse_array(value, shape_desc: str, ndim: int) -> np.ndarray:
 
 
 class _ModelWorker:
-    """Per-model scheduling state: shared batcher, replicas, router, futures.
+    """Per-model scheduling state: shared batcher, slots, router, futures.
 
     Lives entirely on the event loop except for :meth:`MicroBatcher.run_chunk`,
     which executes on the server's thread pool.  The batcher — queue,
     ``batch_id`` assignment, per-flush RNG derivation — is **one per model**,
-    shared by all replicas; only chunk *execution* fans out, so served
-    batches replay offline identically no matter which replica ran them.
-    Each replica's asyncio lock serializes flushes on its module tree;
-    replicas (and different models) flush in parallel.
+    shared by all slots; only chunk *execution* fans out, so served
+    batches replay offline identically no matter which slot ran them.
+    Each slot's asyncio lock serializes its flushes; slots (and different
+    models) flush in parallel.
     """
 
     def __init__(
@@ -577,7 +562,6 @@ class _ModelWorker:
         return {
             "replicas": [
                 {
-                    "weight": replica.weight,
                     "active": replica.active,
                     "chunks": replica.chunks,
                     "completed": replica.completed,
@@ -589,7 +573,7 @@ class _ModelWorker:
                     if hasattr(replica.predictor, "compile_stats")
                     else None,
                     # Child-process observability (pid/port/respawns); None
-                    # for in-process replicas.
+                    # for the in-process slot.
                     "worker": replica.predictor.worker_stats()
                     if hasattr(replica.predictor, "worker_stats")
                     else None,
@@ -651,10 +635,6 @@ class AsyncServingServer:
     max_in_flight : admission-control cap on predictions that have been
         accepted but not yet answered, across all models and connections.
         Work beyond the cap is fast-failed with ``overloaded``.
-    workers : size of the thread pool running model forwards.  Forwards for
-        one *replica* are serialized (module state is not thread-safe to
-        share); extra workers buy overlap across different models and across
-        a model's replicas — size the pool to the total replica count.
     flush_interval : period of the background flush loop that releases
         partial batches once their ``max_wait`` expires (the max-wait timer
         lives here, not with the caller).
@@ -667,13 +647,15 @@ class AsyncServingServer:
         *capture* (a few clock reads per flush chunk) and per-request
         ``trace: true`` replies work regardless — this flag only controls
         histogram recording.
-    breaker_threshold, breaker_cooldown : default circuit-breaker tuning
-        for every replica (``add_model`` may override per model): a replica
-        whose chunks fail ``breaker_threshold`` times in a row is taken out
-        of routing for ``breaker_cooldown`` seconds, then probed half-open.
+    breaker_threshold, breaker_cooldown : circuit-breaker tuning for every
+        slot: a slot whose chunks fail ``breaker_threshold`` times in a row
+        is taken out of routing for ``breaker_cooldown`` seconds, then
+        probed half-open.
     stop_timeout : grace period :meth:`stop` gives in-flight response tasks
         before cancelling them (survivors are counted in
         ``stats.server.abandoned_tasks`` and logged).
+
+    The thread pool running model forwards is sized by :meth:`start`.
     """
 
     def __init__(
@@ -682,7 +664,6 @@ class AsyncServingServer:
         port: int = 0,
         *,
         max_in_flight: int = 256,
-        workers: int = 2,
         flush_interval: float = 0.001,
         seed: int = 0,
         instrument: bool = True,
@@ -692,12 +673,11 @@ class AsyncServingServer:
     ) -> None:
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.host = host
         self.port = port
         self.max_in_flight = max_in_flight
-        self.num_workers = workers
+        #: Flush thread-pool size; set by :meth:`start`.
+        self.num_workers = 0
         self.flush_interval = flush_interval
         self.seed = seed
         self.instrument = bool(instrument)
@@ -740,9 +720,8 @@ class AsyncServingServer:
     def add_model(
         self,
         name: str,
-        predictor: Predictor | list[Predictor] | tuple[Predictor, ...] | WorkerSpec,
+        predictor: Predictor | WorkerSpec,
         *,
-        weights: list[float] | None = None,
         num_samples: int = 1,
         max_batch_size: int = 32,
         max_wait: float = 0.0,
@@ -750,33 +729,31 @@ class AsyncServingServer:
         workers: int | None = None,
         worker_chunk_timeout: float | None = None,
     ) -> None:
-        """Register one predictor — or a replica pool — under ``name``.
+        """Register a model under ``name``: one predictor, or N worker slots.
 
-        ``predictor`` may be a single :class:`Predictor` or a sequence of
-        replicas (the same checkpoint loaded once per replica — each needs
-        its *own* module tree, module state is not thread-safe to share, and
-        replicas must be numerically identical or the replay invariant
-        breaks).  ``weights`` (default: all 1.0) bias the router's
-        least-in-flight choice; they shape load placement only, never
-        results.  All replicas share one externally-driven micro-batcher —
-        one queue, one ``batch_id`` sequence, noise derived per flush from
-        the server seed — so served outputs are replayable offline
-        regardless of scheduling *and* routing.
+        A :class:`Predictor` is served as the model's single in-process
+        slot.  A :class:`~repro.serve.workers.WorkerSpec` plus ``workers=N``
+        (default 1) runs N slots as supervised *child processes*
+        (:mod:`repro.serve.workers`) behind the least-in-flight router — a
+        forward that holds the GIL can only use a second core from a
+        separate process.  Crash/stall of a child trips that slot's circuit
+        breaker exactly like an in-process exception, and the pool
+        supervisor respawns it.
 
-        **Worker processes**: pass a
-        :class:`~repro.serve.workers.WorkerSpec` plus ``workers=N`` to run
-        the N replica slots as supervised *child processes* instead of
-        threads (:mod:`repro.serve.workers`) — same router, same shared
-        queue/``batch_id``/RNG (collation stays parent-side), so replay is
-        unchanged while N CPUs buy ~N-x throughput.  Crash/stall of a child
-        trips that replica's circuit breaker exactly like an in-process
-        exception, and the pool supervisor respawns it.  Size the server's
-        thread pool (``AsyncServingServer(workers=...)``) to at least the
-        process count: parent threads only block on worker sockets (GIL
-        released) while children compute.
+        Either way the model has one externally-driven micro-batcher — one
+        queue, one ``batch_id`` sequence, noise derived per flush from the
+        server seed, collation parent-side — so served outputs are
+        replayable offline regardless of scheduling and of which slot ran a
+        chunk.
         """
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
+        if isinstance(predictor, (list, tuple)):
+            raise TypeError(
+                f"model {name!r}: add_model takes one Predictor, or a "
+                "WorkerSpec with workers=N to serve N worker-process slots "
+                f"(got a {type(predictor).__name__} of predictors)"
+            )
         if isinstance(predictor, WorkerSpec):
             pool = WorkerPool(
                 predictor,
@@ -793,14 +770,10 @@ class AsyncServingServer:
         elif workers is not None:
             raise ValueError(
                 "workers=N spawns child processes and requires a WorkerSpec "
-                f"(got {type(predictor).__name__}); pass a replica list for "
-                "in-process threading instead"
+                f"(got {type(predictor).__name__})"
             )
         else:
-            predictors = (
-                list(predictor) if isinstance(predictor, (list, tuple)) else [predictor]
-            )
-        replicas = self._build_replicas(name, predictors, weights)
+            predictors = [predictor]
         batcher = MicroBatcher(
             predictors[0],
             num_samples=num_samples,
@@ -810,58 +783,37 @@ class AsyncServingServer:
             seed_per_flush=self.seed,
             auto_flush=False,
         )
-        self._models[name] = _ModelWorker(self, name, batcher, replicas)
+        self._models[name] = _ModelWorker(
+            self, name, batcher, self._build_replicas(predictors)
+        )
 
-    def _build_replicas(
-        self,
-        name: str,
-        predictors: list[Predictor],
-        weights: list[float] | None,
-    ) -> list[_Replica]:
-        """Validate a replica pool and wrap it with fresh circuit breakers."""
-        if not predictors:
-            raise ValueError(f"model {name!r} needs at least one replica")
-        if weights is None:
-            weights = [1.0] * len(predictors)
-        if len(weights) != len(predictors):
-            raise ValueError(
-                f"got {len(weights)} weights for {len(predictors)} replicas"
-            )
-        trees = [id(getattr(p, "method", p)) for p in predictors]
-        if len(set(trees)) != len(trees):
-            raise ValueError(
-                "replicas must not share a predictor/module tree (module "
-                "state is not thread-safe); load the checkpoint once per "
-                "replica instead"
-            )
+    def _build_replicas(self, predictors: list[Predictor]) -> list[_Replica]:
+        """Wrap a model's predictors as slots with fresh circuit breakers."""
         return [
             _Replica(
                 index,
-                pred,
-                float(weight),
+                predictor,
                 CircuitBreaker(self.breaker_threshold, self.breaker_cooldown),
             )
-            for index, (pred, weight) in enumerate(zip(predictors, weights))
+            for index, predictor in enumerate(predictors)
         ]
 
     async def swap_model(
         self,
         name: str,
         predictor_factory: Callable[[], Predictor],
-        replicas: int = 1,
         *,
-        weights: list[float] | None = None,
         drain_timeout: float = 30.0,
     ) -> dict:
-        """Zero-downtime rollout: promote a new replica set behind ``name``.
+        """Zero-downtime rollout: promote new slots behind ``name``.
 
-        Blue/green in place: ``predictor_factory`` is called once per new
-        replica on the worker pool (checkpoint loading never blocks the
-        event loop), then — in one synchronous step on the loop — the
-        model's router is repointed at the new replicas and the shared
+        Blue/green in place: ``predictor_factory`` is called once per slot
+        the model has now, on the thread pool (checkpoint loading never
+        blocks the event loop), then — in one synchronous step on the loop
+        — the model's router is repointed at the new slots and the shared
         batcher's collate predictor is updated.  Queued requests and every
         later submit run on the new set; chunks already routed to the old
-        replicas finish there and are drained before this method returns.
+        slots finish there and are drained before this method returns.
 
         The replay invariant survives the swap because the batcher — the
         queue, the ``batch_id`` sequence, the per-flush ``(seed, batch_id)``
@@ -876,13 +828,11 @@ class AsyncServingServer:
         worker = self._models.get(name)
         if worker is None:
             raise ValueError(f"unknown model {name!r}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         new_predictors = [
             await self._loop.run_in_executor(self._executor, predictor_factory)
-            for _ in range(replicas)
+            for _ in worker.replicas
         ]
-        new_replicas = self._build_replicas(name, new_predictors, weights)
+        new_replicas = self._build_replicas(new_predictors)
         # --- atomic promotion: no await between here and the router swap ---
         old_replicas = worker.replicas
         cutover = worker.batcher.next_batch_id
@@ -936,10 +886,19 @@ class AsyncServingServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind, spin up the worker pool and flush loop; returns the address."""
+        """Bind, spin up the thread pool and flush loop; returns the address.
+
+        The pool gets one thread per registered slot — flushes on distinct
+        slots overlap, a worker-process slot's thread only blocks on its
+        socket — plus one, so a swap's checkpoint load never queues behind
+        a flush.
+        """
         if not self._models:
             raise RuntimeError("no models registered; call add_model() first")
         self._loop = asyncio.get_running_loop()
+        self.num_workers = 1 + sum(
+            len(worker.replicas) for worker in self._models.values()
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=self.num_workers, thread_name_prefix="repro-serve"
         )
@@ -1516,19 +1475,14 @@ class ServerThread:
         self,
         name: str,
         predictor_factory: Callable[[], Predictor],
-        replicas: int = 1,
         *,
-        weights: list[float] | None = None,
         timeout: float = 60.0,
     ) -> dict:
         """Blocking wrapper around :meth:`AsyncServingServer.swap_model`."""
         if self._thread is None or self._loop is None or self._loop.is_closed():
             raise RuntimeError("server thread not running")
         future = asyncio.run_coroutine_threadsafe(
-            self.server.swap_model(
-                name, predictor_factory, replicas, weights=weights
-            ),
-            self._loop,
+            self.server.swap_model(name, predictor_factory), self._loop
         )
         return future.result(timeout)
 
@@ -1570,13 +1524,6 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="load each model this many times and route across the copies "
-        "(in one process; see --workers for process-level replicas)",
-    )
     parser.add_argument("--num-samples", type=int, default=1)
     parser.add_argument("--max-batch-size", type=int, default=32)
     parser.add_argument("--max-wait", type=float, default=0.0)
@@ -1585,15 +1532,9 @@ def main(argv: list[str] | None = None) -> None:
         "--workers",
         type=int,
         default=0,
-        help="run each model's replicas as this many supervised child "
-        "processes loading from the same registry (0 = in-process replicas; "
+        help="serve each model from this many supervised child processes "
+        "loading from the same registry (0 = one in-process predictor; "
         "escapes the GIL, keeps (seed, batch_id) replay)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="size of the flush thread pool (0 = auto: replicas/workers + 1)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -1604,27 +1545,24 @@ def main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
 
-    if args.replicas < 1:
-        parser.error(f"--replicas must be >= 1, got {args.replicas}")
     if args.workers < 0:
         parser.error(f"--workers must be >= 0, got {args.workers}")
     registry = ModelRegistry(args.registry)
-    slots = args.workers if args.workers else args.replicas
-    threads = args.threads if args.threads else slots + 1
     server = AsyncServingServer(
-        args.host,
-        args.port,
-        max_in_flight=args.max_in_flight,
-        workers=threads,
-        seed=args.seed,
+        args.host, args.port, max_in_flight=args.max_in_flight, seed=args.seed
+    )
+    batching = dict(
+        num_samples=args.num_samples,
+        max_batch_size=args.max_batch_size,
+        max_wait=args.max_wait,
     )
     for spec in args.model:
         name, _, version = spec.partition(":")
         resolved = int(version) if version else registry.latest_version(name)
         if args.workers:
-            # Process-level replicas: each child loads the checkpoint from
-            # the shared registry itself (the spec crosses the process
-            # boundary as JSON, never as a live object).
+            # Each child loads the checkpoint from the shared registry
+            # itself (the spec crosses the process boundary as JSON, never
+            # as a live object).
             server.add_model(
                 name,
                 WorkerSpec(
@@ -1637,23 +1575,12 @@ def main(argv: list[str] | None = None) -> None:
                     },
                 ),
                 workers=args.workers,
-                num_samples=args.num_samples,
-                max_batch_size=args.max_batch_size,
-                max_wait=args.max_wait,
+                **batching,
             )
-            continue
-        # One load per replica: each copy needs its own module tree.
-        replicas = [
-            registry.load(name, resolved, compile=args.compile)
-            for _ in range(args.replicas)
-        ]
-        server.add_model(
-            name,
-            replicas,
-            num_samples=args.num_samples,
-            max_batch_size=args.max_batch_size,
-            max_wait=args.max_wait,
-        )
+        else:
+            server.add_model(
+                name, registry.load(name, resolved, compile=args.compile), **batching
+            )
 
     async def serve() -> None:
         host, port = await server.start()

@@ -1,28 +1,28 @@
-"""Process-level replica workers: replica slots that live in child processes.
+"""Process-level workers: serving slots that live in child processes.
 
-Every serving PR before this one scaled *within* one process, so N replicas
-shared one GIL and N CPUs could never buy N-x aggregate throughput.  This
-module promotes the replica abstraction to a process boundary while keeping
-every invariant the serving stack is built on:
+Forwards run inside the server process share one GIL, so N CPUs can never
+buy N-x aggregate throughput there.  This module puts each serving slot
+behind a process boundary while keeping every invariant the serving stack
+is built on:
 
 * **Topology** — the parent (`AsyncServingServer`) keeps the public TCP
   front-end, the shared per-model queue, the ``batch_id`` sequence, the
-  per-flush RNG derivation, and the Router's weighted least-in-flight pick.
-  Each replica slot is a :class:`WorkerPredictor`: a child process running
+  per-flush RNG derivation, and the Router's least-in-flight pick.
+  Each slot is a :class:`WorkerPredictor`: a child process running
   the predictor loop, fed over one persistent length-prefixed v2 connection
   (binary tensor frames) owned by the router's flush path.
 * **Replay** — collation happens parent-side
   (:func:`repro.serve.batcher.batch_to_wire` ships the already-collated
   padded tensors) and the chunk carries the *exact* serialized generator
   state (``rng.bit_generator.state``), so a worker's forward is numerically
-  identical to an in-process replica running the same chunk: offline replay
+  identical to an in-process predictor running the same chunk: offline replay
   from ``(seed, batch_id)`` is independent of worker placement.
 * **Faults** — a worker crash or stall surfaces as an exception in
   ``run_chunk`` on the parent's executor thread, which is exactly the signal
-  the PR 8 circuit breakers consume: the replica's breaker opens, the
+  the circuit breakers consume: the slot's breaker opens, the
   supervisor thread respawns the child, and the half-open probe lands on the
   fresh process.  ``swap_model`` drains/promotes worker pools the same way
-  it does in-process pools (worker predictors expose ``close()``).
+  it does an in-process predictor (worker predictors expose ``close()``).
 
 Wire plane
 ----------
@@ -542,15 +542,15 @@ class _WorkerProcess:
 
 
 class WorkerPredictor:
-    """A replica slot whose forward runs in a supervised child process.
+    """A serving slot whose forward runs in a supervised child process.
 
     Duck-types the :class:`~repro.serve.predictor.Predictor` surface the
     batcher/router need (``obs_len``/``pred_len``/``predict_world``), so the
-    whole replica machinery — weighted least-in-flight routing, per-replica
-    locks, circuit breakers, swap/drain — works unchanged.  A transport
+    whole slot machinery — least-in-flight routing, per-slot locks, circuit
+    breakers, swap/drain — works unchanged.  A transport
     failure (crash, stall, malformed answer) raises
     :class:`WorkerCrashedError`/:class:`WorkerStallError` out of
-    ``predict_world``: the chunk fails with a typed error, the replica's
+    ``predict_world``: the chunk fails with a typed error, the slot's
     breaker opens, and the supervisor thread respawns the child so the
     half-open probe lands on a fresh process.  A *typed* worker-side error
     (the model itself failed) propagates as
@@ -659,7 +659,7 @@ class WorkerPredictor:
     def predict_world(self, batch, num_samples, rng) -> np.ndarray:
         """Run one collated chunk in the worker; world-frame samples back.
 
-        The per-replica lock the router already holds serializes flushes per
+        The per-slot lock the router already holds serializes flushes per
         slot, but the internal lock also covers supervisor respawns — a call
         never interleaves with a connection swap.
         """
@@ -758,9 +758,9 @@ class WorkerPool:
     """A supervised pool of :class:`WorkerPredictor` slots for one model.
 
     Spawns ``num_workers`` children concurrently (interpreter start + model
-    build dominate spawn time), hands the slots to ``add_model`` as the
-    replica list, and closes every child — including any extra slots later
-    spawned for ``swap_model`` factories — on :meth:`close`.
+    build dominate spawn time), hands the slots to ``add_model``, and closes
+    every child — including any extra slots later spawned for
+    ``swap_model`` factories — on :meth:`close`.
     """
 
     def __init__(

@@ -1,13 +1,10 @@
-"""Shared utilities: reproducible RNG handling, timing, lightweight logging."""
+"""Shared utilities: reproducible RNG handling."""
 
 from repro.utils.seeding import RngMixin, new_rng, seed_everything, spawn_rng
-from repro.utils.timing import Timer, timed
 
 __all__ = [
     "RngMixin",
-    "Timer",
     "new_rng",
     "seed_everything",
     "spawn_rng",
-    "timed",
 ]

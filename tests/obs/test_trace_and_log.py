@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import STAGE_METRIC, STAGES, RequestTrace, Span, record_stages
+from repro.obs.trace import STAGE_METRIC, STAGES, Span, record_stages
 from repro.obs.log import JsonLogger, get_logger
 
 
@@ -26,7 +26,7 @@ class FakeClock:
 
 
 # ----------------------------------------------------------------------
-# Span / RequestTrace
+# Span
 # ----------------------------------------------------------------------
 def test_span_measures_elapsed_time():
     clock = FakeClock()
@@ -45,30 +45,6 @@ def test_span_on_close_fires_even_on_exception():
             clock.advance(0.1)
             raise RuntimeError("boom")
     assert seen == [("route", pytest.approx(0.1))]
-
-
-def test_request_trace_accumulates_and_renders_meta():
-    clock = FakeClock()
-    trace = RequestTrace(clock=clock)
-    with trace.span("queue_wait"):
-        clock.advance(0.002)
-    trace.record("inference", 0.010)
-    trace.record("inference", 0.005)  # retried stage accumulates
-    trace.update({"coalesce": 0.001})
-    clock.advance(0.001)
-
-    meta = trace.as_meta()
-    assert meta["stages"]["queue_wait"] == pytest.approx(0.002)
-    assert meta["stages"]["inference"] == pytest.approx(0.015)
-    assert meta["stages"]["coalesce"] == pytest.approx(0.001)
-    assert meta["total_s"] == pytest.approx(0.003)  # only span/advance move the clock
-    json.dumps(meta)  # wire-visible object must be JSON-native
-
-
-def test_request_trace_meta_rounds_to_microseconds():
-    trace = RequestTrace(clock=FakeClock())
-    trace.record("admission", 0.123456789)
-    assert trace.as_meta()["stages"]["admission"] == 0.123457
 
 
 def test_canonical_stage_names():

@@ -32,8 +32,11 @@ from repro.serve import (
     ServerThread,
     ServingClient,
     ServingClosedError,
+    WorkerSpec,
+    collate_requests,
 )
 from repro.serve import protocol
+from repro.serve.workers import seeded_predictor
 
 
 class StubPredictor:
@@ -138,10 +141,17 @@ class TestFaultPlan:
 
     def test_faulty_predictor_delegates_attributes(self):
         inner = StubPredictor()
+        closed = []
+        inner.close = lambda: closed.append(True)
+        inner.worker_stats = lambda: {"pid": 123}
         faulty = FaultyPredictor(inner, FaultPlan(0, []))
         assert faulty.obs_len == 8 and faulty.pred_len == 12
-        # The server's shared-module-tree check must see the *inner* tree.
-        assert getattr(faulty, "method", faulty.inner) is inner
+        # The server reports and closes a slot through the wrapper: a wrapped
+        # worker slot still surfaces its process and still dies at shutdown.
+        assert faulty.worker_stats() == {"pid": 123}
+        faulty.close()
+        assert closed == [True]
+        assert not hasattr(FaultyPredictor(StubPredictor(), FaultPlan(0, [])), "close")
 
 
 # ----------------------------------------------------------------------
@@ -270,40 +280,47 @@ class TestBatcherFaultPaths:
 # ----------------------------------------------------------------------
 class TestServedFaults:
     def test_mixed_replicas_one_crashing_one_serving(self):
-        """A crashing replica fails its chunks typed; the healthy sibling
-        keeps answering correctly; the server survives all of it."""
+        """A crashing worker slot fails its chunks typed; the healthy worker
+        keeps answering replayable samples; the server survives all of it
+        and still shuts the wrapped slot's child down."""
         plan = FaultPlan(1, [FaultRule("predict", "error", rate=1.0)])
         server = AsyncServingServer(
-            max_in_flight=64, workers=2, breaker_threshold=10_000
+            max_in_flight=64, seed=7, breaker_threshold=10_000
         )
         server.add_model(
-            "stub",
-            [FaultyPredictor(StubPredictor(delay=0.01), plan), StubPredictor()],
+            "m",
+            WorkerSpec(
+                factory="repro.serve.workers:seeded_predictor", kwargs={"seed": 0}
+            ),
+            workers=2,
+            num_samples=2,
             max_batch_size=1,
+            worker_chunk_timeout=15.0,
         )
+        slot = server._models["m"].replicas[0]
+        slot.predictor = FaultyPredictor(slot.predictor, plan)
         thread, host, port = serve(server)
+        served: list = []
+        typed_errors: list = []
+        lock = threading.Lock()
         try:
-            outcomes: list[str] = []
-            lock = threading.Lock()
 
             def worker(seed: int) -> None:
                 obs = make_obs(seed)
-                with ServingClient.connect(host, port) as client:
-                    for i in range(6):
+                with ServingClient.connect(
+                    host, port, binary=True, dtype="f8"
+                ) as client:
+                    for _ in range(6):
                         try:
-                            samples = client.predict("stub", obs)
-                            np.testing.assert_allclose(
-                                samples[0],
-                                expected_extrapolation(obs),
-                                atol=1e-9,
-                            )
-                            outcome = "ok"
+                            samples, meta = client.predict("m", obs, return_meta=True)
                         except RemoteServingError as error:
                             assert error.code == protocol.E_INTERNAL
                             assert "FaultError" in str(error)
-                            outcome = "typed_error"
-                        with lock:
-                            outcomes.append(outcome)
+                            with lock:
+                                typed_errors.append(error)
+                        else:
+                            with lock:
+                                served.append((obs, samples, meta))
 
             threads = [
                 threading.Thread(target=worker, args=(seed,)) for seed in range(4)
@@ -313,19 +330,28 @@ class TestServedFaults:
             for t in threads:
                 t.join(timeout=30.0)
             assert not any(t.is_alive() for t in threads), "a client hung"
-            assert len(outcomes) == 24  # every request resolved
-            assert "ok" in outcomes and "typed_error" in outcomes
-            # And the pool still serves:
+            assert len(served) + len(typed_errors) == 24  # every request resolved
+            assert served and typed_errors
+            # And the pool still serves, the wrapped slot still reporting
+            # its process:
             with ServingClient.connect(host, port) as client:
                 assert client.health()["status"] == "ok"
+                slots = client.stats()["models"]["m"]["replicas"]
+            assert all(s["worker"]["alive"] for s in slots)
         finally:
             thread.stop()
+        assert all(p.closed for p in server._worker_pools[0].predictors)
+        reference = seeded_predictor(seed=0)
+        for obs, samples, meta in served:  # max_batch_size=1: one row each
+            batch = collate_requests([PredictRequest(request_id=0, obs=obs)])
+            rng = np.random.default_rng((7, meta["batch_id"]))
+            np.testing.assert_allclose(
+                samples, reference.predict_world(batch, 2, rng)[:, 0], atol=1e-6
+            )
 
     def test_all_breakers_open_fast_fails_unavailable_then_recovers(self):
         plan = FaultPlan(2, [FaultRule("predict", "error", rate=1.0, count=2)])
-        server = AsyncServingServer(
-            workers=1, breaker_threshold=2, breaker_cooldown=0.2
-        )
+        server = AsyncServingServer(breaker_threshold=2, breaker_cooldown=0.2)
         server.add_model(
             "stub", FaultyPredictor(StubPredictor(), plan), max_batch_size=1
         )
@@ -363,9 +389,7 @@ class TestServedFaults:
         """A RetryPolicy treats `unavailable` as transient: with a backoff
         spanning the breaker cooldown, the caller never sees the outage."""
         plan = FaultPlan(3, [FaultRule("predict", "error", rate=1.0, count=1)])
-        server = AsyncServingServer(
-            workers=1, breaker_threshold=1, breaker_cooldown=0.05
-        )
+        server = AsyncServingServer(breaker_threshold=1, breaker_cooldown=0.05)
         server.add_model(
             "stub", FaultyPredictor(StubPredictor(), plan), max_batch_size=1
         )
@@ -392,7 +416,7 @@ class TestServedFaults:
 # ----------------------------------------------------------------------
 class TestServedDeadlines:
     def test_queued_request_expires_with_typed_error_before_inference(self):
-        server = AsyncServingServer(workers=1)
+        server = AsyncServingServer()
         slow = StubPredictor(delay=0.4)
         server.add_model("stub", slow, max_batch_size=1)
         thread, host, port = serve(server)
@@ -571,7 +595,7 @@ class TestRetryBudget:
 # ----------------------------------------------------------------------
 class TestModelSwap:
     def test_swap_promotes_atomically_at_the_cutover_batch(self):
-        server = AsyncServingServer(workers=2)
+        server = AsyncServingServer()
         server.add_model("stub", StubPredictor(scale=1.0), max_batch_size=1)
         thread, host, port = serve(server)
         try:
@@ -581,10 +605,8 @@ class TestModelSwap:
                 np.testing.assert_allclose(
                     before[0], expected_extrapolation(obs, scale=1.0), atol=1e-9
                 )
-                result = thread.swap_model(
-                    "stub", lambda: StubPredictor(scale=2.0), replicas=2
-                )
-                assert result["replicas"] == 2
+                result = thread.swap_model("stub", lambda: StubPredictor(scale=2.0))
+                assert result["replicas"] == 1
                 assert result["cutover_batch_id"] > meta_before["batch_id"]
                 after, meta_after = client.predict("stub", obs, return_meta=True)
                 np.testing.assert_allclose(
@@ -593,17 +615,14 @@ class TestModelSwap:
                 assert meta_after["batch_id"] >= result["cutover_batch_id"]
                 stats = client.stats()
                 assert stats["server"]["model_swaps"] == 1
-                assert len(stats["models"]["stub"]["replicas"]) == 2
-                # New replicas start with fresh, closed breakers.
-                assert all(
-                    replica["breaker"]["state"] == "closed"
-                    for replica in stats["models"]["stub"]["replicas"]
-                )
+                (slot,) = stats["models"]["stub"]["replicas"]
+                # The new slot starts with a fresh, closed breaker.
+                assert slot["breaker"]["state"] == "closed"
         finally:
             thread.stop()
 
     def test_swap_under_load_drops_no_requests(self):
-        server = AsyncServingServer(max_in_flight=128, workers=2)
+        server = AsyncServingServer(max_in_flight=128)
         server.add_model("stub", StubPredictor(scale=1.0), max_batch_size=4)
         thread, host, port = serve(server)
         try:
@@ -645,9 +664,7 @@ class TestModelSwap:
             for t in threads:
                 t.start()
             time.sleep(0.05)  # mid-load
-            result = thread.swap_model(
-                "stub", lambda: StubPredictor(scale=2.0), replicas=2
-            )
+            result = thread.swap_model("stub", lambda: StubPredictor(scale=2.0))
             cutover[0] = result["cutover_batch_id"]
             for t in threads:
                 t.join(timeout=30.0)

@@ -122,27 +122,17 @@ class _RawServer:
     every later connection) is answered immediately, echoing the request id.
     """
 
-    def __init__(self, delay_first: float = 0.0, v1_only: bool = False) -> None:
+    def __init__(self, delay_first: float = 0.0) -> None:
         self.delay_first = delay_first
-        self.v1_only = v1_only
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.address = self.sock.getsockname()
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
 
     def _respond(self, message: dict) -> dict:
-        if self.v1_only and message.get("v") != 1:
-            return protocol.error_response(
-                message.get("id"),
-                protocol.E_UNSUPPORTED_VERSION,
-                f"protocol version {message.get('v')!r} not supported (server speaks 1)",
-            )
         result = {"echo": message["id"]}
         if message.get("op") == "health":
-            result["status"] = "ok"
-            result["protocol"] = 1 if self.v1_only else 2
-            if not self.v1_only:
-                result["binary"] = True
+            result.update(status="ok", protocol=2, binary=True)
         return protocol.ok_response(message["id"], result)
 
     def _serve_connection(self, conn: socket.socket, delay: float) -> None:
@@ -301,38 +291,3 @@ class TestRetryScope:
                 assert client.call("health")["status"] == "ok"  # still usable
         finally:
             server.close()
-
-
-class TestVersionDowngrade:
-    """New client against a v1-only server: negotiate down, don't explode."""
-
-    def test_supports_binary_is_false_not_an_error(self):
-        server = _RawServer(v1_only=True)
-        host, port = server.address
-        try:
-            with ServingClient.connect(host, port) as client:
-                # Default (v2) calls are rejected by the old server...
-                with pytest.raises(RemoteServingError) as excinfo:
-                    client.call("stats")
-                assert excinfo.value.code == protocol.E_UNSUPPORTED_VERSION
-                # ...but the negotiation probe itself must not explode.
-                assert client.supports_binary() is False
-                assert client.version == protocol.PROTOCOL_VERSION  # restored
-        finally:
-            server.close()
-
-    def test_v1_client_mode_completes_calls(self):
-        server = _RawServer(v1_only=True)
-        host, port = server.address
-        try:
-            with ServingClient.connect(host, port, version=1) as client:
-                assert client.call("health")["status"] == "ok"
-                assert client.call("stats")["echo"] == client._next_id
-        finally:
-            server.close()
-
-    def test_unsupported_version_rejected_client_side(self):
-        a, b = socket.socketpair()
-        with a, b:
-            with pytest.raises(ValueError, match="version"):
-                ServingClient(a, version=99)

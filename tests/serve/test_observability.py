@@ -60,7 +60,7 @@ def running(request):
     kwargs = dict(marker.kwargs) if marker else {}
     model_kwargs = kwargs.pop("model", {})
     predictor = kwargs.pop("predictor", None) or StubPredictor()
-    server = AsyncServingServer(**{"max_in_flight": 64, "workers": 2, **kwargs})
+    server = AsyncServingServer(**{"max_in_flight": 64, **kwargs})
     server.add_model(MODEL, predictor, **model_kwargs)
     thread = ServerThread(server)
     host, port = thread.start()
@@ -241,7 +241,7 @@ class TestCompileStatsSurface:
 
         predictor = Predictor(trained_vanilla, compile=True)
         predictor.set_profile(True)
-        server = AsyncServingServer(max_in_flight=64, workers=2, seed=7)
+        server = AsyncServingServer(max_in_flight=64, seed=7)
         server.add_model("vanilla", predictor, num_samples=2)
         with ServerThread(server):
             host, port = server.address
@@ -277,9 +277,7 @@ class TestCompileStatsSurface:
 
         predictor = Predictor(trained_vanilla)
         seed, num_samples = 42, 2
-        server = AsyncServingServer(
-            max_in_flight=64, workers=2, seed=seed, instrument=True
-        )
+        server = AsyncServingServer(max_in_flight=64, seed=seed, instrument=True)
         server.add_model("vanilla", predictor, num_samples=num_samples)
         with ServerThread(server):
             host, port = server.address

@@ -314,7 +314,7 @@ class _FuzzStub:
 def fuzz_server():
     from repro.serve import AsyncServingServer, ServerThread
 
-    server = AsyncServingServer(workers=2, max_in_flight=16)
+    server = AsyncServingServer(max_in_flight=16)
     server.add_model("stub", _FuzzStub())
     thread = ServerThread(server)
     host, port = thread.start()

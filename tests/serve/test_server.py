@@ -62,7 +62,7 @@ def running(request):
     kwargs = dict(marker.kwargs) if marker else {}
     model_kwargs = kwargs.pop("model", {})
     predictor = kwargs.pop("predictor", None) or StubPredictor()
-    server = AsyncServingServer(**{"max_in_flight": 64, "workers": 2, **kwargs})
+    server = AsyncServingServer(**{"max_in_flight": 64, **kwargs})
     server.add_model("stub", predictor, **model_kwargs)
     thread = ServerThread(server)
     host, port = thread.start()
@@ -308,7 +308,7 @@ class TestRealModelEquivalence:
 
         predictor = Predictor(trained_vanilla)
         seed, num_samples = 42, 2
-        server = AsyncServingServer(max_in_flight=64, workers=2, seed=seed)
+        server = AsyncServingServer(max_in_flight=64, seed=seed)
         server.add_model("vanilla", predictor, num_samples=num_samples)
         with ServerThread(server) as thread:
             host, port = server.address
@@ -351,7 +351,7 @@ class TestRealModelEquivalence:
 
         predictor = Predictor(trained_vanilla, compile=True)
         seed, num_samples = 42, 2
-        server = AsyncServingServer(max_in_flight=64, workers=2, seed=seed)
+        server = AsyncServingServer(max_in_flight=64, seed=seed)
         server.add_model("vanilla", predictor, num_samples=num_samples)
         with ServerThread(server):
             host, port = server.address
@@ -416,21 +416,21 @@ class TestShutdown:
 
 
 class TestRouter:
-    """Unit tests for the weighted least-in-flight router."""
+    """Unit tests for the least-in-flight router and its breaker gating."""
 
     @staticmethod
-    def make_replicas(*weights):
-        from repro.serve.server import _Replica
+    def make_replicas(count, cooldown=60.0):
+        from repro.serve.server import CircuitBreaker, _Replica
 
         return [
-            _Replica(index, StubPredictor(), weight)
-            for index, weight in enumerate(weights)
+            _Replica(index, StubPredictor(), CircuitBreaker(1, cooldown))
+            for index in range(count)
         ]
 
     def test_picks_least_in_flight(self):
         from repro.serve.server import Router
 
-        replicas = self.make_replicas(1.0, 1.0)
+        replicas = self.make_replicas(2)
         router = Router(replicas)
         assert router.pick() is replicas[0]  # tie -> lowest index
         replicas[0].active = 2
@@ -438,21 +438,10 @@ class TestRouter:
         replicas[1].active = 3
         assert router.pick() is replicas[0]
 
-    def test_weights_bias_placement(self):
-        from repro.serve.server import Router
-
-        replicas = self.make_replicas(1.0, 2.0)
-        router = Router(replicas)
-        # Schedule 6 chunks without completion: the weight-2 replica should
-        # absorb ~2/3 of them.
-        for _ in range(6):
-            router.pick().active += 1
-        assert (replicas[0].active, replicas[1].active) == (2, 4)
-
     def test_idle_signal(self):
         from repro.serve.server import Router
 
-        replicas = self.make_replicas(1.0, 1.0)
+        replicas = self.make_replicas(2)
         router = Router(replicas)
         assert router.idle
         replicas[0].active = 1
@@ -460,98 +449,75 @@ class TestRouter:
         replicas[1].active = 1
         assert not router.idle
 
-    def test_rejects_bad_weights(self):
+    def test_rejects_no_slots(self):
         from repro.serve.server import Router
 
-        with pytest.raises(ValueError, match="> 0"):
-            Router(self.make_replicas(1.0, 0.0))
         with pytest.raises(ValueError, match="at least one"):
             Router([])
 
+    def test_open_breaker_is_skipped_for_its_sibling(self):
+        from repro.serve.server import Router
+
+        replicas = self.make_replicas(2)
+        router = Router(replicas)
+        replicas[0].breaker.record_failure()  # threshold 1: opens
+        assert router.pick() is replicas[1]
+        replicas[1].active = 5  # still preferred over the open slot
+        assert router.pick() is replicas[1]
+        assert router.any_available()
+
+    def test_half_open_slot_takes_one_probe_at_a_time(self):
+        from repro.serve.server import CircuitBreaker, Router
+
+        replicas = self.make_replicas(2, cooldown=0.0)
+        router = Router(replicas)
+        replicas[1].active = 3
+        replicas[0].breaker.record_failure()  # cooldown 0: half-open next
+        probe = router.pick()
+        assert probe is replicas[0]
+        assert probe.breaker.state == CircuitBreaker.HALF_OPEN
+        probe.active += 1  # the probe chunk is in flight
+        assert router.pick() is replicas[1]  # no second probe
+        probe.breaker.record_success()
+        assert router.pick() is replicas[0]  # closed again, least loaded
+
+    def test_all_breakers_open_leaves_nothing_to_pick(self):
+        from repro.serve.server import Router
+
+        replicas = self.make_replicas(2)
+        router = Router(replicas)
+        for replica in replicas:
+            replica.breaker.record_failure()
+        assert router.pick() is None
+        assert not router.any_available()
+        assert not router.idle
+
 
 class TestReplicaServing:
-    def test_shared_module_tree_rejected(self):
-        server = AsyncServingServer()
-        predictor = StubPredictor()
-        with pytest.raises(ValueError, match="share"):
-            server.add_model("stub", [predictor, predictor])
-
-    def test_weights_length_mismatch_rejected(self):
-        server = AsyncServingServer()
-        with pytest.raises(ValueError, match="weights"):
-            server.add_model(
-                "stub", [StubPredictor(), StubPredictor()], weights=[1.0]
-            )
-
     def test_empty_replica_list_rejected(self):
         server = AsyncServingServer()
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(TypeError, match="WorkerSpec"):
             server.add_model("stub", [])
 
-    @pytest.mark.server_config(
-        predictor=[StubPredictor(delay=0.02), StubPredictor(delay=0.02)],
-        model={"max_wait": 0.0},
-    )
-    def test_two_replicas_spread_load_and_stay_correct(self, running):
-        """Concurrent load over a 2-replica pool: both replicas execute
-        chunks, every response is correct, and the shared batch_id sequence
-        has no collisions (each batch's rows are complete)."""
-        _, host, port, predictors = running
-        num_clients, per_client = 6, 5
-        records: list[tuple[int, int, np.ndarray, dict]] = []
-        lock = threading.Lock()
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_replica_list_rejected(self, kind):
+        """One in-process predictor, or worker processes: no thread replicas."""
+        server = AsyncServingServer()
+        with pytest.raises(TypeError, match="one Predictor, or a WorkerSpec"):
+            server.add_model("stub", kind([StubPredictor(), StubPredictor()]))
 
-        def run_client(seed: int) -> None:
-            with ServingClient.connect(host, port) as client:
-                for i in range(per_client):
-                    obs = make_obs(seed * 100 + i)
-                    samples, meta = client.predict("stub", obs, return_meta=True)
-                    with lock:
-                        records.append((seed, i, samples, meta))
-
-        threads = [
-            threading.Thread(target=run_client, args=(c,)) for c in range(num_clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every response is the correct extrapolation of its own window.
-        for seed, i, samples, _ in records:
-            np.testing.assert_allclose(
-                samples[0],
-                expected_extrapolation(make_obs(seed * 100 + i)),
-                atol=1e-9,
-            )
-        # Both replicas actually ran forwards.
-        executed = [sum(p.batch_sizes) for p in predictors]
-        assert sum(executed) == num_clients * per_client
-        assert all(count > 0 for count in executed), (
-            f"load was not spread across replicas: {executed}"
-        )
-        # The shared per-model batch_id sequence kept the replay meta
-        # coherent: each batch's rows are complete and unique.
-        by_batch: dict[int, list[dict]] = {}
-        for _, _, _, meta in records:
-            by_batch.setdefault(meta["batch_id"], []).append(meta)
-        for batch_id, metas in by_batch.items():
-            rows = sorted(meta["row"] for meta in metas)
-            assert rows == list(range(metas[0]["batch_size"])), (
-                f"batch {batch_id} rows incomplete or duplicated: {rows}"
-            )
-
-    @pytest.mark.server_config(
-        predictor=[StubPredictor(), StubPredictor()], model={"max_wait": 0.0}
-    )
+    @pytest.mark.server_config(model={"max_wait": 0.0})
     def test_stats_surface_replicas(self, running):
         _, host, port, _ = running
         with ServingClient.connect(host, port) as client:
             client.predict("stub", make_obs(1))
             stats = client.stats()
         replicas = stats["models"]["stub"]["replicas"]
-        assert len(replicas) == 2
-        assert sum(r["completed"] for r in replicas) == 1
-        assert all(r["weight"] == 1.0 and r["active"] == 0 for r in replicas)
+        assert len(replicas) == 1
+        assert replicas[0]["completed"] == 1 and replicas[0]["active"] == 0
+        assert replicas[0]["worker"] is None  # in-process slot
+        # The flush thread pool is sized to the registered slots + 1.
+        assert stats["server"]["workers"] == 2
 
 
 class TestBinaryWire:

@@ -1,4 +1,4 @@
-"""Process-level replica workers: spawn, replay, crash/stall chaos, lifecycle.
+"""Process-level workers: spawn, replay, routing, crash/stall chaos, lifecycle.
 
 The worker plane moves the predictor forward into supervised child
 processes while keeping every serving invariant: the queue, the
@@ -9,7 +9,7 @@ run in a worker is bit-identical to the same chunk run in-process — and
 The chaos tests SIGKILL workers mid-flush and inject deterministic
 ``crash``/``stall`` faults *inside* the child: in-flight requests must
 resolve with typed errors (never hang — the conftest alarm enforces
-that), the replica breaker must open, and the supervisor must respawn the
+that), the slot's breaker must open, and the supervisor must respawn the
 child so service recovers without operator action.
 """
 
@@ -300,9 +300,7 @@ def start_worker_server(
     num_samples: int = 4,
     **server_kwargs,
 ):
-    server = AsyncServingServer(
-        workers=workers + 1, max_in_flight=64, seed=seed, **server_kwargs
-    )
+    server = AsyncServingServer(max_in_flight=64, seed=seed, **server_kwargs)
     server.add_model(
         "m",
         spec,
@@ -369,7 +367,7 @@ class TestServerChaos:
             assert len(errors) == 1, "in-flight request did not fail typed"
             assert errors[0].code in ("internal", "unavailable")
 
-            # The single replica's breaker is open: until the respawned child
+            # The single slot's breaker is open: until the respawned child
             # passes a half-open probe, requests fast-fail as unavailable.
             saw_unavailable = False
             recovered = None
@@ -435,6 +433,69 @@ class TestServerChaos:
         replay_offline(records, seed=7, num_samples=4, reference=reference)
 
 
+class TestWorkerRouting:
+    def test_two_workers_spread_load_and_stay_correct(self):
+        """Concurrent load over a 2-worker pool: both slots execute chunks,
+        every batch comes back row-complete, and every response replays
+        offline from ``(seed, batch_id)`` — the shared per-model batch_id
+        sequence makes placement invisible to replay."""
+        # Latency-padded forwards keep a slot busy long enough that
+        # concurrent requests spill onto its sibling.
+        rules = [dict(site="predict", kind="latency", delay=0.02, rate=1.0)]
+        spec = WorkerSpec(factory=FAULTY, kwargs={"rules": rules, "seed": 0})
+        server, thread, host, port = start_worker_server(spec, workers=2)
+        reference = seeded_predictor(seed=0)
+        num_clients, per_client = 6, 5
+        records: list = []
+        lock = threading.Lock()
+
+        def run_client(client_id: int) -> None:
+            with ServingClient.connect(host, port, binary=True, dtype="f8") as client:
+                for i in range(per_client):
+                    obs = make_obs(seed=client_id * 100 + i)
+                    samples, meta = client.predict("m", obs, return_meta=True)
+                    with lock:
+                        records.append((obs, samples, meta))
+
+        try:
+            threads = [
+                threading.Thread(target=run_client, args=(c,))
+                for c in range(num_clients)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), "a client hung"
+            with ServingClient.connect(host, port) as client:
+                stats = client.stats()
+        finally:
+            thread.stop()
+        assert len(records) == num_clients * per_client
+        slots = stats["models"]["m"]["replicas"]
+        assert [s["chunks"] > 0 for s in slots] == [True, True], (
+            f"load was not spread across workers: {[s['chunks'] for s in slots]}"
+        )
+        assert stats["server"]["workers"] == 3  # 2 slots + 1
+        by_batch: dict[int, list] = {}
+        for record in records:
+            by_batch.setdefault(record[2]["batch_id"], []).append(record)
+        for batch_id, rows in by_batch.items():
+            rows.sort(key=lambda record: record[2]["row"])
+            assert [meta["row"] for _, _, meta in rows] == list(
+                range(rows[0][2]["batch_size"])
+            ), f"batch {batch_id} rows incomplete or duplicated"
+            batch = collate_requests(
+                [PredictRequest(request_id=i, obs=r[0]) for i, r in enumerate(rows)]
+            )
+            rng = np.random.default_rng((7, batch_id))
+            expected = reference.predict_world(batch, 4, rng)
+            for row, (_, samples, _) in enumerate(rows):
+                np.testing.assert_allclose(
+                    samples, expected[:, row], rtol=0, atol=1e-6
+                )
+
+
 # ----------------------------------------------------------------------
 # Server lifecycle around worker pools
 # ----------------------------------------------------------------------
@@ -468,7 +529,7 @@ class TestServerLifecycle:
             client = ServingClient.connect(host, port, binary=True, dtype="f8")
             before = client.predict("m", make_obs(seed=2))
             info = thread.swap_model(
-                "m", lambda: pool.spawn_predictor(label="m[swap]"), replicas=1
+                "m", lambda: pool.spawn_predictor(label="m[swap]")
             )
             assert info["replicas"] == 1
             after = client.predict("m", make_obs(seed=2))

@@ -1,13 +1,11 @@
-"""Tests for the shared utilities (seeding, timing)."""
+"""Tests for the shared utilities (seeding)."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
-from repro.utils import Timer, new_rng, seed_everything, spawn_rng, timed
+from repro.utils import new_rng, seed_everything, spawn_rng
 
 
 class TestSeeding:
@@ -41,32 +39,3 @@ class TestSeeding:
     def test_seed_everything_returns_generator(self):
         rng = seed_everything(42)
         assert isinstance(rng, np.random.Generator)
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer.measure():
-            time.sleep(0.01)
-        with timer.measure():
-            time.sleep(0.01)
-        assert timer.count == 2
-        assert timer.total >= 0.02
-        assert timer.mean == pytest.approx(timer.total / 2)
-
-    def test_timer_reset(self):
-        timer = Timer()
-        with timer.measure():
-            pass
-        timer.reset()
-        assert timer.count == 0
-        assert timer.total == 0.0
-
-    def test_timed_returns_result_and_mean(self):
-        result, seconds = timed(lambda x: x + 1, 4, repeats=3)
-        assert result == 5
-        assert seconds >= 0
-
-    def test_timed_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            timed(lambda: None, repeats=0)
