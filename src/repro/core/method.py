@@ -159,8 +159,11 @@ class LearningMethod:
         eval semantics and graph recording is off, so prediction pays neither
         autograd bookkeeping nor stochastic regularization.  This is the path
         the eval loop, the Table VIII benchmark, and ``repro.serve`` share.
+        ``num_samples=None`` means ``config.eval_samples``; a count below 1
+        raises ``ValueError``.
         """
-        num_samples = num_samples or self.config.eval_samples
+        if num_samples is None:
+            num_samples = self.config.eval_samples
         rng = new_rng(rng if rng is not None else self.config.seed + 1)
         with inference_mode(self.module()):
             return self.predict_samples(batch, num_samples, rng)
@@ -214,7 +217,8 @@ class LearningMethod:
         """Best-of-K ``(ADE, FDE)`` over ``dataset``."""
         if len(dataset) == 0:
             raise ValueError("evaluation dataset is empty")
-        num_samples = num_samples or self.config.eval_samples
+        if num_samples is None:
+            num_samples = self.config.eval_samples
         rng = new_rng(rng if rng is not None else self.config.seed + 1)
         total_ade = total_fde = 0.0
         count = 0

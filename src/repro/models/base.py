@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import Batch
-from repro.nn import Module, Tensor, inference_mode, stack
+from repro.nn import Module, Tensor, inference_mode
 
 __all__ = ["BackboneEncoding", "BackboneOutput", "TrajectoryBackbone"]
 
@@ -99,8 +99,14 @@ class TrajectoryBackbone(Module):
         batch: Batch,
         context: Tensor | None,
         rng: np.random.Generator,
+        num_samples: int = 1,
     ) -> Tensor:
-        """Generate one future trajectory sample, shape ``[B, pred_len, 2]``."""
+        """Generate ``num_samples`` futures in one pass, ``[K * B, pred_len, 2]``.
+
+        Rows are sample-major: row ``k * B + b`` is sample ``k`` of agent
+        ``b``.  The noise is drawn as one block that leaves ``rng`` exactly
+        where ``num_samples`` sequential single-sample decodes leave it.
+        """
         raise NotImplementedError
 
     def compute_loss(
@@ -142,6 +148,28 @@ class TrajectoryBackbone(Module):
             )
         return context
 
+    def _sample_rows(
+        self,
+        encoding: BackboneEncoding,
+        context: Tensor | None,
+        batch_size: int,
+        num_samples: int,
+    ) -> tuple[BackboneEncoding, Tensor]:
+        """``encoding`` and the context tiled to ``num_samples * B`` rows.
+
+        Sample-major: row ``k * B + b`` repeats row ``b``.  The tiling is
+        built from traced Tensor ops, so a compile capture records it.
+        """
+        context = self._context_or_zeros(context, batch_size)
+        if num_samples == 1:
+            return encoding, context
+
+        def tile(tensor: Tensor) -> Tensor:
+            tiled = tensor.unsqueeze(0).broadcast_to((num_samples, *tensor.shape))
+            return tiled.reshape(num_samples * batch_size, *tensor.shape[1:])
+
+        return BackboneEncoding(tile(encoding.h_ei), tile(encoding.p_i)), tile(context)
+
     def predict(
         self,
         batch: Batch,
@@ -153,19 +181,19 @@ class TrajectoryBackbone(Module):
 
         ``context_fn`` maps a :class:`BackboneEncoding` to a context tensor
         (AdapTraj supplies its extractor/aggregator pipeline here); ``None``
-        means no conditioning.
+        means no conditioning.  All ``K`` futures come from one decode over
+        ``K * B`` rows.
         """
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         if rng is None:
             rng = np.random.default_rng(0)
         with inference_mode(self):
             encoding = self.encode(batch)
             context = context_fn(encoding) if context_fn is not None else None
-            samples = [
-                self.decode(encoding, batch, context, rng)
-                for _ in range(num_samples)
-            ]
-            # Stacked through the Tensor op (not np.stack on copies) so the
-            # output array is itself a traced node — the compile tape needs
-            # the final buffer to be produced by a recorded op.
-            stacked = stack(samples, axis=0)
-        return stacked.data
+            samples = self.decode(encoding, batch, context, rng, num_samples)
+            # Reshaped through the Tensor op so the output array is itself a
+            # traced node — the compile tape needs the final buffer to be
+            # produced by a recorded op.
+            samples = samples.reshape(num_samples, batch.size, *samples.shape[1:])
+        return samples.data

@@ -45,8 +45,7 @@ __all__ = ["LBEBM"]
 
 
 def _langevin_np(
-    z0: np.ndarray,
-    noise: np.ndarray,
+    draws: np.ndarray,
     h: np.ndarray,
     energy_spec: list,
     steps: int,
@@ -54,6 +53,12 @@ def _langevin_np(
     latent_dim: int,
 ) -> np.ndarray:
     """Short-run Langevin dynamics as one fused numpy loop.
+
+    ``draws`` is the sampler's whole noise block, ``[K, 1 + steps, B,
+    latent]``: per sample ``k``, the start ``z0`` then one noise row per
+    step, in the order ``K`` sequential samplers would draw them.  ``h``
+    holds the matching ``K * B`` sample-major conditioning rows, and the
+    result is ``z`` for those rows.
 
     Replaces the per-iteration Tensor/graph construction of the reference
     sampler: the invariant ``cat([z, h])`` conditioning is hoisted into a
@@ -64,7 +69,10 @@ def _langevin_np(
     mirrors the autograd closures, so the trajectory of ``z`` is
     bit-identical to the reference loop (golden-tested at 1e-10).
     """
-    batch = z0.shape[0]
+    num_samples, _, agents, _ = draws.shape
+    batch = num_samples * agents
+    z0 = draws[:, 0].reshape(batch, latent_dim)
+    noise = draws[:, 1:].swapaxes(0, 1).reshape(steps, batch, latent_dim)
     # The conditioning buffer follows the *model* dtype (the reference loop
     # wraps z in a default-dtype Tensor each iteration), while the z update
     # itself stays in the draw dtype — exactly like the eager path.
@@ -89,9 +97,9 @@ def _build_langevin_kernel(params, out):
     latent_dim = params["latent_dim"]
     layout = params["layout"]
 
-    def fn(z0, noise, h, *energy_arrays):
+    def fn(draws, h, *energy_arrays):
         spec = chain_from(layout, energy_arrays)
-        result = _langevin_np(z0, noise, h, spec, steps, step_size, latent_dim)
+        result = _langevin_np(draws, h, spec, steps, step_size, latent_dim)
         if out is None:
             return result
         np.copyto(out, result)
@@ -173,36 +181,40 @@ class LBEBM(TrajectoryBackbone):
         return self.energy(cat([z, h], axis=-1))
 
     def langevin_sample(
-        self, h_detached: Tensor, rng: np.random.Generator
+        self, h_detached: Tensor, rng: np.random.Generator, num_samples: int = 1
     ) -> Tensor:
         """Short-run Langevin dynamics sampling of the latent plan.
 
         ``z_{k+1} = z_k - (s/2) dE/dz + sqrt(s) * eps`` starting from a
-        standard normal.  Runs as one fused numpy loop (:func:`_langevin_np`):
+        standard normal.  ``h_detached`` holds ``num_samples * B``
+        sample-major rows (row ``k * B + b`` conditions sample ``k`` of
+        agent ``b``).  Runs as one fused numpy loop (:func:`_langevin_np`):
         no per-iteration Tensor/graph allocation, the ``cat`` conditioning
         buffer reused with its ``h`` half written once, and the energy
         gradient computed in closed form — bit-identical to the original
         autograd loop, which ``tests/models/oracles.py`` keeps as the golden
         oracle.  Under a compile tape the whole loop records as a single
-        ``lbebm_langevin`` kernel.
+        ``lbebm_langevin`` kernel whose operand is the draw block.
 
-        RNG contract: draws ``z0`` first, then all step noise in one block,
-        which consumes the generator's stream exactly like the reference
-        loop's interleaved per-step draws.
+        RNG contract: one ``[K, 1 + steps, B, latent]`` block, which
+        consumes the generator's stream exactly like ``K`` reference loops
+        run one after another, each drawing ``z0`` and then its per-step
+        noise interleaved with the updates.
         """
         spec = linear_chain(self.energy)
-        batch = h_detached.shape[0]
+        agents = h_detached.shape[0] // num_samples
         h = h_detached.data
-        z0 = rng.standard_normal((batch, self.latent_dim))
-        noise = rng.standard_normal((self.langevin_steps, batch, self.latent_dim))
+        draws = rng.standard_normal(
+            (num_samples, 1 + self.langevin_steps, agents, self.latent_dim)
+        )
         z = _langevin_np(
-            z0, noise, h, spec,
+            draws, h, spec,
             self.langevin_steps, self.langevin_step_size, self.latent_dim,
         )
         _trace(
             "lbebm_langevin",
             z,
-            (z0, noise, h, *chain_arrays(spec)),
+            (draws, h, *chain_arrays(spec)),
             steps=self.langevin_steps,
             step_size=self.langevin_step_size,
             latent_dim=self.latent_dim,
@@ -223,9 +235,10 @@ class LBEBM(TrajectoryBackbone):
         batch: Batch,
         context: Tensor | None,
         rng: np.random.Generator,
+        num_samples: int = 1,
     ) -> Tensor:
-        context = self._context_or_zeros(context, batch.size)
-        z = self.langevin_sample(encoding.h_ei, rng)
+        encoding, context = self._sample_rows(encoding, context, batch.size, num_samples)
+        z = self.langevin_sample(encoding.h_ei, rng, num_samples)
         return self._decode_with_plan(encoding, z, context)
 
     def compute_loss(

@@ -104,9 +104,11 @@ class PECNet(TrajectoryBackbone):
         batch: Batch,
         context: Tensor | None,
         rng: np.random.Generator,
+        num_samples: int = 1,
     ) -> Tensor:
-        context = self._context_or_zeros(context, batch.size)
-        z = Tensor(rng.standard_normal((batch.size, self.latent_dim)))
+        encoding, context = self._sample_rows(encoding, context, batch.size, num_samples)
+        # One (K * B, latent) block: the K per-sample draws, in order.
+        z = Tensor(rng.standard_normal((num_samples * batch.size, self.latent_dim)))
         endpoint = self.endpoint_decoder(cat([encoding.h_ei, z, context], axis=-1))
         return self._decode_with_endpoint(encoding, endpoint, context)
 

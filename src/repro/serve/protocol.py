@@ -260,20 +260,17 @@ def encode_binary_frame(message: dict) -> bytes:
 
 
 def encode_frame_auto(message: dict) -> bytes:
-    """Encode as a binary frame iff the message carries ndarrays, else JSON."""
-    if _has_tensor(message):
+    """Encode as a binary frame iff the message carries ndarrays, else JSON.
+
+    JSON is tried first: ``json.dumps`` raises ``TypeError`` on an ndarray,
+    and only then is the message re-encoded as a binary frame.  A message
+    whose other values are not JSON-serializable raises ``TypeError`` from
+    the binary encoder too.
+    """
+    try:
+        return encode_frame(message)
+    except TypeError:
         return encode_binary_frame(message)
-    return encode_frame(message)
-
-
-def _has_tensor(value) -> bool:
-    if isinstance(value, np.ndarray):
-        return True
-    if isinstance(value, dict):
-        return any(_has_tensor(item) for item in value.values())
-    if isinstance(value, (list, tuple)):
-        return any(_has_tensor(item) for item in value)
-    return False
 
 
 def _decode_json(payload: bytes) -> dict:

@@ -36,6 +36,18 @@ class TestVanilla:
         ade, fde = method.evaluate(data)
         assert np.isfinite(ade) and np.isfinite(fde)
 
+    def test_predict_rejects_zero_samples_instead_of_defaulting(self):
+        method = VanillaMethod(pecnet(), FAST)
+        batch = make_batch()
+        assert method.predict(batch, None, rng=0).shape[0] == FAST.eval_samples
+        with pytest.raises(ValueError, match="num_samples"):
+            method.predict(batch, 0, rng=0)
+
+    def test_evaluate_rejects_zero_samples_instead_of_defaulting(self):
+        method = VanillaMethod(pecnet(), FAST)
+        with pytest.raises(ValueError, match="num_samples"):
+            method.evaluate(tiny_dataset(), num_samples=0)
+
     def test_empty_dataset_rejected(self):
         method = VanillaMethod(pecnet(), FAST)
         with pytest.raises(ValueError, match="empty"):

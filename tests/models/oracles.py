@@ -1,17 +1,43 @@
 """Reference oracles for the fused model loops (test code only).
 
-Each function here is the original per-step autograd implementation a
-fused numpy loop in ``repro.models`` replaced.  The fused paths are
-checked against them in ``tests/models/test_compiled_paths.py``, and the
-decoder oracle is also the timing baseline of the decoder phase in
-``benchmarks/bench_autograd_ops.py``.
+Each function here is the original per-step implementation a fused or
+batched path in ``repro.models`` replaced.  The fused paths are checked
+against them in ``tests/models/test_compiled_paths.py`` and
+``tests/models/test_batched_predict.py``.  The decoder oracle is also the
+timing baseline of the decoder phase in ``benchmarks/bench_autograd_ops.py``,
+and ``predict_reference`` (with the decoder oracle, for LBEBM) is the eager
+side of ``benchmarks/bench_compile.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import Tensor, enable_grad, stack
+from repro.nn import Tensor, enable_grad, inference_mode, stack
+
+
+def predict_reference(
+    backbone,
+    batch,
+    context_fn=None,
+    rng: np.random.Generator | None = None,
+    num_samples: int = 1,
+) -> np.ndarray:
+    """``TrajectoryBackbone.predict`` as one single-sample decode per future.
+
+    Same signature as the method, so a test can bind it over a backbone's
+    ``predict`` and run any learning method on top of it.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    with inference_mode(backbone):
+        encoding = backbone.encode(batch)
+        context = context_fn(encoding) if context_fn is not None else None
+        samples = [
+            backbone.decode(encoding, batch, context, rng) for _ in range(num_samples)
+        ]
+        stacked = stack(samples, axis=0)
+    return stacked.data
 
 
 def rollout_reference(decoder, conditioning: Tensor) -> Tensor:

@@ -86,6 +86,11 @@ class TestBackboneContract:
         assert samples.shape == (3, 4, backbone.pred_len, 2)
         assert not np.allclose(samples[0], samples[1])
 
+    @pytest.mark.parametrize("num_samples", [0, -1])
+    def test_predict_rejects_fewer_than_one_sample(self, backbone, rng, num_samples):
+        with pytest.raises(ValueError, match="num_samples"):
+            backbone.predict(make_batch(), rng=rng, num_samples=num_samples)
+
     def test_predict_restores_training_mode(self, backbone, rng):
         batch = make_batch()
         assert backbone.training

@@ -96,6 +96,13 @@ class TestRngContract:
             compiled.predict_world(batch, 3, rng=55),
         )
 
+    @pytest.mark.parametrize("compile", [False, True])
+    def test_zero_samples_rejected_not_defaulted(self, vanilla_pecnet, compile):
+        predictor = Predictor(vanilla_pecnet, compile=compile)
+        with pytest.raises(ValueError, match="num_samples"):
+            predictor.predict(make_batch(seed=6), 0, rng=1)
+        assert predictor.compile_stats()["broken"] is None
+
     def test_generator_rng_hands_over_stream(self, vanilla_pecnet):
         predictor = Predictor(vanilla_pecnet)
         batch = make_batch(seed=5)

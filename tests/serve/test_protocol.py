@@ -170,6 +170,46 @@ class TestBinaryFraming:
         frame = protocol.encode_frame_auto(message)
         assert frame[4] == protocol.KIND_BINARY
 
+    def test_auto_frames_are_golden(self):
+        """Auto frames are exactly the chosen encoder's bytes: a list-valued
+        K=20 response is ``encode_frame``'s, an ndarray-valued one
+        ``encode_binary_frame``'s, and both match their pinned wire images."""
+        samples = np.random.default_rng(0).standard_normal((20, 12, 2))
+        as_list = {"v": 2, "id": 3, "ok": True, "result": {"samples": samples.tolist()}}
+        as_array = {"v": 2, "id": 3, "ok": True, "result": {"samples": samples}}
+        assert protocol.encode_frame_auto(as_list) == protocol.encode_frame(as_list)
+        assert protocol.encode_frame_auto(as_array) == protocol.encode_binary_frame(as_array)
+
+        json_payload = b'{"v":2,"id":1,"samples":[[0.5,-2.0]]}'
+        assert protocol.encode_frame_auto({"v": 2, "id": 1, "samples": [[0.5, -2.0]]}) == (
+            struct.pack(">I", len(json_payload)) + json_payload
+        )
+        envelope = (
+            b'{"v":2,"id":1,"samples":{"__tensor__":'
+            b'{"dtype":"<f8","shape":[1,2],"offset":0,"nbytes":16}}}'
+        )
+        tail = struct.pack("<2d", 0.5, -2.0)
+        assert protocol.encode_frame_auto(
+            {"v": 2, "id": 1, "samples": np.array([[0.5, -2.0]])}
+        ) == (
+            struct.pack(">I", 1 + 4 + len(envelope) + len(tail))
+            + bytes((protocol.KIND_BINARY,))
+            + struct.pack(">I", len(envelope))
+            + envelope
+            + tail
+        )
+
+    @pytest.mark.parametrize("extra", [{}, {"obs": np.zeros(2)}])
+    def test_auto_encoding_rejects_non_serializable_values(self, extra):
+        with pytest.raises(TypeError):
+            protocol.encode_frame_auto({"v": 2, "id": 1, "x": {1, 2}, **extra})
+
+    def test_auto_encoding_keeps_the_reserved_key_check(self):
+        with pytest.raises(ProtocolError, match="reserved"):
+            protocol.encode_frame_auto(
+                {"v": 2, "x": {"__tensor__": 1}, "obs": np.zeros(2)}
+            )
+
     def test_v1_json_frames_are_byte_identical(self):
         """A v1 peer's frames decode unchanged: pure-JSON framing is frozen."""
         message = {"v": 1, "id": 7, "op": "health"}
