@@ -80,7 +80,6 @@ def start_server(predictor, **overrides) -> tuple[ServerThread, str, int]:
         **{
             "max_in_flight": 512,
             "seed": SEED,
-            "flush_interval": 0.0005,
             **overrides,
         }
     )

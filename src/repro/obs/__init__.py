@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     log_bounds,
 )
-from repro.obs.trace import STAGES, Span, record_stages
+from repro.obs.trace import STAGES, Span
 
 __all__ = [
     "Counter",
@@ -36,5 +36,4 @@ __all__ = [
     "Span",
     "get_logger",
     "log_bounds",
-    "record_stages",
 ]

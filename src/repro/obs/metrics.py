@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 
 import numpy as np
 
@@ -129,7 +130,7 @@ class Histogram:
     interleaving-independent (see the module docstring).
     """
 
-    __slots__ = ("bounds", "_counts", "_lock", "_count", "_sum", "_min", "_max")
+    __slots__ = ("bounds", "_edges", "_counts", "_lock", "_count", "_sum", "_min", "_max")
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS) -> None:
         edges = np.asarray(bounds, dtype=np.float64)
@@ -138,7 +139,9 @@ class Histogram:
         if not np.all(np.diff(edges) > 0):
             raise ValueError("bounds must be strictly increasing")
         self.bounds = edges
-        self._counts = np.zeros(edges.size + 1, dtype=np.int64)
+        #: The bounds as Python floats: ``record`` bisects them per value.
+        self._edges = edges.tolist()
+        self._counts = [0] * (edges.size + 1)
         self._lock = threading.Lock()
         self._count = 0
         self._sum = 0.0
@@ -150,8 +153,11 @@ class Histogram:
         """Record one observation (thread-safe)."""
         v = float(value)
         # Bucket index is computed outside the lock: it depends only on the
-        # fixed bounds, so contention stays at a few integer updates.
-        index = int(np.searchsorted(self.bounds, v, side="left"))
+        # fixed bounds, so contention stays at a few integer updates.  The
+        # index is ``np.searchsorted(bounds, v, side="left")``; NaN compares
+        # false against every bound, so it goes to the overflow bucket by
+        # hand, where searchsorted sorts it.
+        index = len(self._edges) if math.isnan(v) else bisect_left(self._edges, v)
         with self._lock:
             self._counts[index] += 1
             self._count += 1

@@ -2,8 +2,7 @@
 
 A served prediction crosses several queues and threads; a single
 submit→resolve latency number cannot say *where* time went.  This module
-defines the canonical stage names, :func:`record_stages` (stage durations
-into per-model histograms) and :class:`Span`, the codebase's one
+defines the canonical stage names and :class:`Span`, the codebase's one
 context-manager stopwatch (``LearningMethod.fit`` times training with it).
 A request that sets ``trace: true`` gets its stage durations back in
 ``meta.trace`` (see ``docs/observability.md``).
@@ -15,35 +14,38 @@ The canonical stages (:data:`STAGES`), in request order:
 ``queue_wait``
     Queued in the micro-batcher until popped into a flush chunk.
 ``coalesce``
-    Collating the popped requests into one padded batch.
+    Collating the popped requests into one padded batch and deriving the
+    flush's noise stream.
 ``route``
     Popped chunk scheduled until its worker thread starts executing
-    (slot lock wait + executor hand-off).
+    (slot lock wait + executor hand-off); for a worker-process slot, the
+    slot lock wait only.
 ``inference``
-    The model forward (``predictor.predict_world``) on the worker thread.
+    The model forward (``predictor.predict_world``) on the worker thread;
+    for a worker-process slot, the chunk exchange with the child (write,
+    wait, read) on the event loop.
 ``encode``
     Serializing a response frame.  Recorded into the server's histograms
     only — a response cannot carry the cost of its own serialization.
 
-Stage durations are recorded into per-model histograms through
-:func:`record_stages`; all timing uses a monotonic clock and stages from
-different clocks are only ever compared as durations.
+A worker-process slot also reports ``compute``, the child's own forward
+time.  It is *nested* inside ``inference``, not a stage of its own, so it
+never counts toward a request's coverage of its total.
+
+Stage durations are recorded into per-model ``serve_stage_seconds``
+histograms by the server; all timing uses a monotonic clock and stages
+from different clocks are only ever compared as durations.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
-from repro.obs.metrics import MetricsRegistry
-
-__all__ = ["STAGES", "Span", "record_stages"]
+__all__ = ["STAGES", "Span"]
 
 #: Canonical request-lifecycle stage names, in request order.
 STAGES = ("admission", "queue_wait", "coalesce", "route", "inference", "encode")
-
-#: Histogram name the serving stack records stage durations under.
-STAGE_METRIC = "serve_stage_seconds"
 
 
 class Span:
@@ -82,15 +84,3 @@ class Span:
         if self._on_close is not None:
             self._on_close(self.name, self.duration_s)
 
-
-def record_stages(
-    registry: MetricsRegistry, model: str, stages: Mapping[str, float]
-) -> None:
-    """Record one request's stage durations into per-model histograms.
-
-    Instruments are named ``serve_stage_seconds{model=...,stage=...}``; the
-    registry's get-or-create semantics make this safe to call from any
-    thread without pre-registration.
-    """
-    for stage, seconds in stages.items():
-        registry.histogram(STAGE_METRIC, model=model, stage=stage).record(seconds)

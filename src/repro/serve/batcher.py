@@ -21,7 +21,9 @@ evaluation batch built from the same windows.
 The batcher also supports **externally-driven flushes** for the async
 network front-end (:mod:`repro.serve.server`): with ``auto_flush=False`` an
 event-loop scheduler pops due work with :meth:`MicroBatcher.take_ready` and
-executes it on a worker thread with :meth:`MicroBatcher.run_chunk`, and
+executes it on a worker thread with :meth:`MicroBatcher.run_chunk` (or, for a
+worker-process slot, awaits the forward between its two halves
+:meth:`MicroBatcher.prepare_chunk` and :meth:`MicroBatcher.complete_chunk`), and
 :meth:`MicroBatcher.shutdown` terminates every pending request with a
 :class:`ServingClosedError` instead of leaving pollers hanging.  See
 ``docs/serving.md`` for the full batching and backpressure semantics.
@@ -309,8 +311,9 @@ class FlushChunk:
     batch_id: int
     handles: list[PendingPrediction] = field(default_factory=list)
     #: When the scheduler dispatched this chunk (batcher clock).  Set by the
-    #: async server before hand-off; ``run_chunk`` turns it into the
-    #: ``route`` stage (scheduling + replica-lock wait + executor hop).
+    #: async server before hand-off; ``prepare_chunk`` turns it into the
+    #: ``route`` stage (scheduling + slot-lock wait, plus the executor hop
+    #: of an in-process slot).
     scheduled_at: float | None = None
 
     @property
@@ -490,6 +493,27 @@ class MicroBatcher:
                     chunks.append(self._pop_chunk_locked(len(self._pending)))
             return chunks
 
+    def next_due(self, *, allow_partial: bool) -> float | None:
+        """The earliest time (batcher clock) a drain could pop or expire work.
+
+        That is the earliest queued deadline and, when ``allow_partial``, the
+        oldest request's ``enqueued_at + max_wait`` — the two moments only
+        time (not a submit or a finished chunk) changes what
+        :meth:`expire_pending` and :meth:`take_ready` do.  None when nothing
+        queued is waiting on the clock.
+        """
+        with self._lock:
+            if not self._pending:
+                return None
+            due = [
+                h.request.deadline
+                for h in self._pending
+                if h.request.deadline is not None
+            ]
+            if allow_partial:
+                due.append(self._pending[0].enqueued_at + self.max_wait)
+        return min(due, default=None)
+
     # ------------------------------------------------------------------
     # Deadlines and fault handling
     # ------------------------------------------------------------------
@@ -506,10 +530,10 @@ class MicroBatcher:
 
         Each expired handle gets a terminal :class:`DeadlineExceededError`
         *before* it could be coalesced — the answer the caller is still
-        around to see.  The async server calls this on every drain (so a
-        request queued behind busy replicas is answered within one flush
-        interval of its deadline); :meth:`poll` calls it for the in-process
-        mode.
+        around to see.  The async server calls this on every drain and arms
+        a timer for the earliest queued deadline (:meth:`next_due`), so a
+        request queued behind busy replicas is answered at its deadline;
+        :meth:`poll` calls it for the in-process mode.
         """
         with self._lock:
             if not self._pending:
@@ -610,33 +634,57 @@ class MicroBatcher:
         externally-driven flushes never requeue, a poisoned batch must not
         retry forever — and the exception propagates so the scheduler can
         log it.
+
+        The two halves, :meth:`prepare_chunk` and :meth:`complete_chunk`,
+        are public so a caller that awaits the forward instead of calling
+        it (the server's worker-process slots) runs the same collation and
+        fulfilment.
+        """
+        prepared = self.prepare_chunk(chunk, predictor)
+        if prepared is None:
+            return []
+        batch, rng, stage = prepared
+        predictor = self.predictor if predictor is None else predictor
+        started = self.clock()
+        try:
+            samples = predictor.predict_world(batch, self.num_samples, rng)
+        except BaseException as error:
+            self.fail_chunk(chunk, error)
+            raise
+        stage["inference"] = self.clock() - started
+        return self.complete_chunk(chunk, samples, stage)
+
+    def prepare_chunk(
+        self, chunk: FlushChunk, predictor: Predictor | None = None
+    ) -> tuple[Batch, np.random.Generator, dict[str, float]] | None:
+        """First half of :meth:`run_chunk`: sweep, then collate.
+
+        Returns the padded batch, the flush's noise stream and the chunk's
+        stages so far (``route``, ``coalesce``), or None when every row
+        expired.  A collation failure fails the chunk's handles and
+        propagates, like a failed forward.
         """
         # Last-chance deadline sweep: time spent waiting for the replica
         # lock / executor slot counts against the request's budget, and an
         # expired row must never reach inference.
         self.expire_chunk(chunk)
         if not chunk.handles:
-            return []
+            return None
         stage: dict[str, float] = {}
         if chunk.scheduled_at is not None:
             stage["route"] = self.clock() - chunk.scheduled_at
         try:
-            samples = self._predict(
-                [h.request for h in chunk.handles], chunk.batch_id, predictor,
-                timings=stage,
-            )
+            batch, rng = self._coalesce(chunk, predictor, stage)
         except BaseException as error:
-            for handle in chunk.handles:
-                handle._set_error(error)
-            with self._lock:
-                self.total_failed += len(chunk.handles)
+            self.fail_chunk(chunk, error)
             raise
-        for row, handle in enumerate(chunk.handles):
-            handle.batch_id = chunk.batch_id
-            handle.batch_row = row
-            handle.batch_size = len(chunk.handles)
-            handle.stage_s = self._handle_stages(handle, stage)
-            handle._set_result(samples[:, row])
+        return batch, rng, stage
+
+    def complete_chunk(
+        self, chunk: FlushChunk, samples: np.ndarray, stage: dict[str, float]
+    ) -> list[PendingPrediction]:
+        """Second half of :meth:`run_chunk`: fulfil every handle of the chunk."""
+        self._fulfil(chunk, samples, stage)
         with self._lock:
             self.total_batches += 1
             self.total_completed += len(chunk.handles)
@@ -689,32 +737,34 @@ class MicroBatcher:
             stages["queue_wait"] = handle.popped_at - handle.enqueued_at
         return stages
 
-    def _predict(
+    def _coalesce(
         self,
-        requests: list[PredictRequest],
-        batch_id: int,
-        predictor: Predictor | None = None,
-        timings: dict[str, float] | None = None,
-    ) -> np.ndarray:
+        chunk: FlushChunk,
+        predictor: Predictor | None,
+        stage: dict[str, float],
+    ) -> tuple[Batch, np.random.Generator]:
+        """The chunk's padded batch and noise stream; times ``coalesce``."""
         predictor = self.predictor if predictor is None else predictor
-        collate_started = self.clock()
+        started = self.clock()
         batch = collate_requests(
-            requests,
+            [h.request for h in chunk.handles],
             pred_len=predictor.pred_len,
             max_neighbours=self.max_neighbours,
         )
-        predict_started = self.clock()
-        # One padded batch through the vectorized hot path — never a
-        # Python loop over requests.
-        samples = predictor.predict_world(
-            batch, self.num_samples, self._flush_rng(batch_id)
-        )
-        if timings is not None:
-            # Three clock reads per *chunk*, not per request — cheap enough
-            # to capture unconditionally when the caller asks.
-            timings["coalesce"] = predict_started - collate_started
-            timings["inference"] = self.clock() - predict_started
-        return samples
+        rng = self._flush_rng(chunk.batch_id)
+        stage["coalesce"] = self.clock() - started
+        return batch, rng
+
+    def _fulfil(
+        self, chunk: FlushChunk, samples: np.ndarray, stage: dict[str, float]
+    ) -> None:
+        """Hand each handle its row of ``samples`` plus its replay meta."""
+        for row, handle in enumerate(chunk.handles):
+            handle.batch_id = chunk.batch_id
+            handle.batch_row = row
+            handle.batch_size = len(chunk.handles)
+            handle.stage_s = self._handle_stages(handle, stage)
+            handle._set_result(samples[:, row])
 
     def _flush_locked(self, limit: int) -> list[PendingPrediction]:
         if not self._pending:
@@ -738,9 +788,12 @@ class MicroBatcher:
                 return expired
         stage: dict[str, float] = {}
         try:
-            samples = self._predict(
-                [h.request for h in chunk.handles], chunk.batch_id, timings=stage
-            )
+            batch, rng = self._coalesce(chunk, None, stage)
+            started = self.clock()
+            # One padded batch through the vectorized hot path — never a
+            # Python loop over requests.
+            samples = self.predictor.predict_world(batch, self.num_samples, rng)
+            stage["inference"] = self.clock() - started
         except BaseException:
             # Don't lose the coalesced requests on a failed flush: put them
             # back at the head of the queue so a later poll/flush retries.
@@ -748,12 +801,7 @@ class MicroBatcher:
             # derivation never reuses a stream.)
             self._pending[:0] = chunk.handles
             raise
-        for row, handle in enumerate(chunk.handles):
-            handle.batch_id = chunk.batch_id
-            handle.batch_row = row
-            handle.batch_size = len(chunk.handles)
-            handle.stage_s = self._handle_stages(handle, stage)
-            handle._set_result(samples[:, row])
+        self._fulfil(chunk, samples, stage)
         self.total_batches += 1
         self.total_completed += len(chunk.handles)
         # Expired handles are done too (terminal error): report everything

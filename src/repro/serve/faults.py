@@ -7,7 +7,8 @@ reproducible from its :class:`FaultPlan` alone.  Two injection surfaces
 cover the stack:
 
 * :class:`FaultyPredictor` — wraps a real :class:`~repro.serve.predictor.
-  Predictor` and consults the plan before every ``predict_world`` call
+  Predictor` and consults the plan before every ``predict_world`` call, or
+  every awaited ``predict_world_async`` of a wrapped worker-process slot
   (site ``"predict"`` by default).  This is how slot crashes and slow
   forwards are simulated: the wrapped predictor is registered with the
   server like any other, and the batcher/router/breaker machinery sees
@@ -31,6 +32,7 @@ drop fault severs the TCP stream.  Successful responses therefore keep the
 
 from __future__ import annotations
 
+import asyncio
 import os
 import socket
 import struct
@@ -167,11 +169,24 @@ class FaultPlan:
         sever a socket).  ``None``: the call proceeds clean.
         """
         rule = self.draw(site)
-        if rule is None:
-            return None
-        if rule.kind in ("latency", "stall"):
+        if rule is not None and rule.kind in ("latency", "stall"):
             self._sleep(rule.delay)
             return rule
+        return self._act(site, rule)
+
+    async def apply_async(self, site: str) -> FaultRule | None:
+        """:meth:`apply` on an event loop: latency/stall faults await a sleep."""
+        rule = self.draw(site)
+        if rule is not None and rule.kind in ("latency", "stall"):
+            await asyncio.sleep(rule.delay)
+            return rule
+        return self._act(site, rule)
+
+    @staticmethod
+    def _act(site: str, rule: FaultRule | None) -> FaultRule | None:
+        """Raise an ``error``, exit on a ``crash``; hand back the rest."""
+        if rule is None:
+            return None
         if rule.kind == "error":
             raise FaultError(f"{rule.message} (site={site!r})")
         if rule.kind == "crash":
@@ -209,6 +224,12 @@ class FaultyPredictor:
     computes nothing); latency/stall draws sleep, then run the real forward —
     results stay numerically identical to the clean run, which is what keeps
     injected latency inside the replay-equivalence gate.
+
+    A wrapped worker-process slot is awaited on the server's event loop, so
+    the wrapper gets its own ``predict_world_async``: the plan applies there
+    too, with ``asyncio.sleep`` for latency and stalls.  It is set only when
+    the inner predictor has one — never handed out by ``__getattr__``, which
+    would bypass the plan.
     """
 
     def __init__(
@@ -217,6 +238,8 @@ class FaultyPredictor:
         self.inner = inner
         self.plan = plan
         self.site = site
+        if hasattr(inner, "predict_world_async"):
+            self.predict_world_async = self._predict_world_async
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
@@ -224,6 +247,10 @@ class FaultyPredictor:
     def predict_world(self, batch, num_samples, rng) -> np.ndarray:
         self.plan.apply(self.site)  # may sleep or raise
         return self.inner.predict_world(batch, num_samples, rng)
+
+    async def _predict_world_async(self, batch, num_samples, rng):
+        await self.plan.apply_async(self.site)  # may sleep or raise
+        return await self.inner.predict_world_async(batch, num_samples, rng)
 
 
 class ChaosProxy:

@@ -2,7 +2,7 @@
 
 :class:`AsyncServingServer` turns the in-process serving stack into a
 network service.  One asyncio event loop owns all connection and scheduling
-state; model forwards never run on it:
+state, and the I/O of worker-process slots; model forwards never run on it:
 
 * **Framing/schema** — length-prefixed JSON (:mod:`repro.serve.protocol`)
   with ``observe`` / ``predict`` / ``flush`` / ``stats`` / ``health`` /
@@ -16,12 +16,14 @@ state; model forwards never run on it:
   invariant are untouched.  See ``docs/observability.md``.
 * **Batching** — each model gets a :class:`~repro.serve.batcher.MicroBatcher`
   in externally-driven mode: requests from all connections coalesce in one
-  queue, a background flush loop (plus a drain after every submit) pops due
-  work with ``take_ready`` and executes it via ``run_chunk`` on a bounded
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  While every slot of a
-  model is mid flush, partial batches are withheld, so backpressure turns a
-  convoy of single requests into genuinely coalesced batches (adaptive
-  batching).
+  queue, and a drain after every submit and every finished chunk — plus one
+  timer armed for the next max-wait or deadline — pops due work with
+  ``take_ready``.  An in-process slot runs it via ``run_chunk`` on a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor`; a worker-process slot's
+  chunk is collated, exchanged with the child and fulfilled on the loop.
+  While every slot of a model is mid flush, partial batches are withheld,
+  so backpressure turns a convoy of single requests into genuinely
+  coalesced batches (adaptive batching).
 * **Slots** — a model runs on one in-process :class:`Predictor`, or on N
   supervised worker-process slots (a :class:`~repro.serve.workers.WorkerSpec`
   with ``workers=N``); a :class:`Router` assigns each popped flush chunk to
@@ -63,8 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import STAGE_METRIC, record_stages
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serve import protocol
 from repro.serve.batcher import (
     DeadlineExceededError,
@@ -155,6 +156,12 @@ class CircuitBreaker:
         self.state = self.CLOSED
         self.opened_at = None
 
+    def cooldown_left(self) -> float | None:
+        """Seconds until an open breaker admits its probe; None unless open."""
+        if self.state != self.OPEN:
+            return None
+        return max(0.0, self.opened_at + self.cooldown - self.clock())
+
     def record_failure(self) -> None:
         """A chunk's forward raised; open on threshold (or a failed probe)."""
         self.consecutive_errors += 1
@@ -196,11 +203,12 @@ class _Replica:
 
     ``active`` counts chunks routed here and not yet finished (scheduled or
     running); it is both the router's load signal and, summed over slots,
-    the model's "busy" signal for adaptive batching.  The asyncio lock
+    the model's "busy" signal for adaptive batching.  ``tasks`` holds those
+    chunks' tasks, so a swap can await the last of them.  The asyncio lock
     serializes flushes *per slot* — ``inference_mode`` training-flag
     save/restore is per-module state, so one module tree must never run on
-    two threads, but distinct slots (and distinct models) overlap freely
-    on the thread pool.
+    two threads, and a worker child answers one chunk at a time on its
+    connection — but distinct slots (and distinct models) overlap freely.
     """
 
     __slots__ = (
@@ -208,6 +216,7 @@ class _Replica:
         "predictor",
         "lock",
         "active",
+        "tasks",
         "chunks",
         "completed",
         "errors",
@@ -221,6 +230,7 @@ class _Replica:
         self.predictor = predictor
         self.lock = asyncio.Lock()
         self.active = 0
+        self.tasks: set[asyncio.Task] = set()
         self.chunks = 0
         self.completed = 0
         self.errors = 0
@@ -284,6 +294,11 @@ class Router:
         )
 
 
+def _exchange(predictor):
+    """A worker slot's awaited chunk exchange; None for an in-process slot."""
+    return getattr(predictor, "predict_world_async", None)
+
+
 def _require(message: dict, key: str, types: tuple[type, ...], what: str):
     value = message.get(key)
     if not isinstance(value, types) or isinstance(value, bool):
@@ -309,13 +324,13 @@ def _parse_array(value, shape_desc: str, ndim: int) -> np.ndarray:
 class _ModelWorker:
     """Per-model scheduling state: shared batcher, slots, router, futures.
 
-    Lives entirely on the event loop except for :meth:`MicroBatcher.run_chunk`,
-    which executes on the server's thread pool.  The batcher — queue,
-    ``batch_id`` assignment, per-flush RNG derivation — is **one per model**,
-    shared by all slots; only chunk *execution* fans out, so served
-    batches replay offline identically no matter which slot ran them.
-    Each slot's asyncio lock serializes its flushes; slots (and different
-    models) flush in parallel.
+    Lives entirely on the event loop except for an in-process slot's
+    :meth:`MicroBatcher.run_chunk`, which executes on the server's thread
+    pool.  The batcher — queue, ``batch_id`` assignment, per-flush RNG
+    derivation — is **one per model**, shared by all slots; only chunk
+    *execution* fans out, so served batches replay offline identically no
+    matter which slot ran them.  Each slot's asyncio lock serializes its
+    flushes; slots (and different models) flush in parallel.
     """
 
     def __init__(
@@ -331,6 +346,13 @@ class _ModelWorker:
         self.replicas = replicas
         self.router = Router(replicas)
         self._waiters: dict[PendingPrediction, tuple[asyncio.Future, float]] = {}
+        #: The one drain timer (:meth:`_arm_timer`) and its due time on the
+        #: batcher clock.
+        self._timer: asyncio.TimerHandle | None = None
+        self._timer_due = 0.0
+        #: Per-row histograms, looked up in the registry once, on first use.
+        self._latency_hist: Histogram | None = None
+        self._stage_hists: dict[str, Histogram] = {}
         # Latency accounting (submit -> resolve, event-loop clock).
         self.completed = 0
         self.latency_sum = 0.0
@@ -357,7 +379,7 @@ class _ModelWorker:
         return future
 
     def drain(self) -> None:
-        """Pop due work and schedule it on the worker pool.
+        """Pop due work, schedule it on its slots, and re-arm the timer.
 
         Full batches always pop.  Partial batches pop only while some
         replica is idle — under load the backlog accumulates behind the busy
@@ -371,6 +393,7 @@ class _ModelWorker:
         for handle in self.batcher.expire_pending():
             self._resolve(handle)
         self._schedule(self.batcher.take_ready(allow_partial=self.router.idle))
+        self._arm_timer()
 
     def flush_now(self) -> int:
         """Force-pop everything pending (the ``flush`` operation)."""
@@ -378,7 +401,43 @@ class _ModelWorker:
             return 0
         chunks = self.batcher.take_ready(force=True)
         self._schedule(chunks)
+        self._arm_timer()
         return sum(chunk.size for chunk in chunks)
+
+    def _arm_timer(self) -> None:
+        """Keep one timer armed for the next moment a drain could act.
+
+        A finished chunk drains on its own; only the clock releases the
+        oldest request's ``max_wait`` while a slot is idle to take it,
+        expires the earliest queued deadline, and — while queued work waits
+        on an idle slot's open breaker — ends that breaker's cooldown.  An
+        earlier due time re-arms the timer; an empty queue cancels it.
+        """
+        batcher = self.batcher
+        due = batcher.next_due(allow_partial=self.router.idle)
+        if batcher.pending_count:
+            for replica in self.replicas:
+                left = None if replica.active else replica.breaker.cooldown_left()
+                if left is not None:
+                    probe_at = batcher.clock() + left
+                    due = probe_at if due is None else min(due, probe_at)
+        if due is None:
+            self.cancel_timer()
+        elif self._timer is None or due < self._timer_due:
+            self.cancel_timer()
+            self._timer_due = due
+            self._timer = self.server._loop.call_later(
+                max(0.0, due - batcher.clock()), self._on_timer
+            )
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self.drain()
+
+    def cancel_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _schedule(self, chunks: list[FlushChunk]) -> None:
         for index, chunk in enumerate(chunks):
@@ -409,9 +468,10 @@ class _ModelWorker:
                 return
             replica.active += 1
             chunk.scheduled_at = self.batcher.clock()
-            self.server._track_task(
-                self.server._loop.create_task(self._run_chunk(chunk, replica))
-            )
+            task = self.server._loop.create_task(self._run_chunk(chunk, replica))
+            self.server._track_task(task)
+            replica.tasks.add(task)
+            task.add_done_callback(replica.tasks.discard)
 
     async def _run_chunk(self, chunk: FlushChunk, replica: _Replica) -> None:
         error: BaseException | None = None
@@ -430,12 +490,7 @@ class _ModelWorker:
                     handles = list(chunk.handles)
                     try:
                         ran = True
-                        await self.server._loop.run_in_executor(
-                            self.server._executor,
-                            self.batcher.run_chunk,
-                            chunk,
-                            replica.predictor,
-                        )
+                        await self._execute(chunk, replica.predictor)
                     except Exception as exc:
                         # Terminal errors are already set on the handles; keep
                         # the exception for accounting, never let it kill the
@@ -474,6 +529,36 @@ class _ModelWorker:
             # A flush just finished: anything that queued behind it may now
             # be popped (as one coalesced batch).
             self.drain()
+
+    async def _execute(self, chunk: FlushChunk, predictor: Predictor) -> None:
+        """Run one chunk on a slot; its handles end with samples or the error.
+
+        An in-process forward holds the GIL for its whole length, so it runs
+        on the thread pool.  A worker slot's chunk is I/O: the loop collates,
+        awaits the child's answer and fulfils the handles itself, with the
+        batcher's own two halves of ``run_chunk``.
+        """
+        exchange = _exchange(predictor)
+        if exchange is None:
+            await self.server._loop.run_in_executor(
+                self.server._executor, self.batcher.run_chunk, chunk, predictor
+            )
+            return
+        batcher = self.batcher
+        prepared = batcher.prepare_chunk(chunk, predictor)
+        if prepared is None:
+            return
+        batch, rng, stage = prepared
+        started = batcher.clock()
+        try:
+            samples, compute_s = await exchange(batch, batcher.num_samples, rng)
+        except BaseException as error:
+            batcher.fail_chunk(chunk, error)
+            raise
+        stage["inference"] = batcher.clock() - started
+        # The child's own forward, nested inside the exchange.
+        stage["compute"] = compute_s
+        batcher.complete_chunk(chunk, samples, stage)
 
     def _record_breaker(self, replica: _Replica, *, failed: bool) -> None:
         """Feed a chunk verdict to the replica's breaker; log transitions."""
@@ -525,11 +610,26 @@ class _ModelWorker:
             self.latency_sum += latency
             self.latency_max = max(self.latency_max, latency)
             if self.server.instrument:
-                self.server.metrics.histogram(
-                    "serve_latency_seconds", model=self.name
-                ).record(latency)
-                if handle.stage_s:
-                    record_stages(self.server.metrics, self.name, handle.stage_s)
+                self.latency_histogram().record(latency)
+                for stage, seconds in (handle.stage_s or {}).items():
+                    self.stage_histogram(stage).record(seconds)
+
+    def latency_histogram(self) -> Histogram:
+        """``serve_latency_seconds{model=...}``, cached after the first call."""
+        if self._latency_hist is None:
+            self._latency_hist = self.server.metrics.histogram(
+                "serve_latency_seconds", model=self.name
+            )
+        return self._latency_hist
+
+    def stage_histogram(self, stage: str) -> Histogram:
+        """``serve_stage_seconds{model=...,stage=...}``, cached per stage."""
+        hist = self._stage_hists.get(stage)
+        if hist is None:
+            hist = self._stage_hists[stage] = self.server.metrics.histogram(
+                "serve_stage_seconds", model=self.name, stage=stage
+            )
+        return hist
 
     def resolve_terminal(self) -> None:
         """Resolve every waiter whose handle already carries a terminal state.
@@ -553,9 +653,7 @@ class _ModelWorker:
             "max_s": round(self.latency_max, 6),
         }
         if self.server.instrument:
-            hist = self.server.metrics.histogram(
-                "serve_latency_seconds", model=self.name
-            )
+            hist = self.latency_histogram()
             latency["p50_s"] = round(hist.quantile(0.50), 6)
             latency["p95_s"] = round(hist.quantile(0.95), 6)
             latency["p99_s"] = round(hist.quantile(0.99), 6)
@@ -635,9 +733,6 @@ class AsyncServingServer:
     max_in_flight : admission-control cap on predictions that have been
         accepted but not yet answered, across all models and connections.
         Work beyond the cap is fast-failed with ``overloaded``.
-    flush_interval : period of the background flush loop that releases
-        partial batches once their ``max_wait`` expires (the max-wait timer
-        lives here, not with the caller).
     seed : base seed for per-flush RNG derivation (see
         ``MicroBatcher.seed_per_flush``).
     instrument : record latency/stage histograms and serving counters into
@@ -655,7 +750,8 @@ class AsyncServingServer:
         before cancelling them (survivors are counted in
         ``stats.server.abandoned_tasks`` and logged).
 
-    The thread pool running model forwards is sized by :meth:`start`.
+    The thread pool running in-process forwards is sized by :meth:`start`;
+    the max-wait and deadline timers live here, not with the caller.
     """
 
     def __init__(
@@ -664,7 +760,6 @@ class AsyncServingServer:
         port: int = 0,
         *,
         max_in_flight: int = 256,
-        flush_interval: float = 0.001,
         seed: int = 0,
         instrument: bool = True,
         breaker_threshold: int = 5,
@@ -678,7 +773,6 @@ class AsyncServingServer:
         self.max_in_flight = max_in_flight
         #: Flush thread-pool size; set by :meth:`start`.
         self.num_workers = 0
-        self.flush_interval = flush_interval
         self.seed = seed
         self.instrument = bool(instrument)
         self.breaker_threshold = breaker_threshold
@@ -697,12 +791,13 @@ class AsyncServingServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._flush_task: asyncio.Task | None = None
+        self._encode_hist: Histogram | None = None
         self._connections: set[_Connection] = set()
         self._tasks: set[asyncio.Task] = set()
         self._closing = False
         self._stopped = False
         self._started_at = time.monotonic()
+        self._cpu_started = time.process_time()
         self._next_conn_id = 0
         # Counters surfaced through ``stats``.
         self.in_flight = 0
@@ -842,15 +937,15 @@ class AsyncServingServer:
         # ------------------------------------------------------------------
         self.model_swaps += 1
         # Old chunks were routed before the cutover; let them finish on the
-        # old module trees (they hold the replica locks they need).
-        deadline = self._loop.time() + drain_timeout
-        while any(replica.active for replica in old_replicas):
-            if self._loop.time() > deadline:
+        # old slots (they hold the slot locks they need).
+        old_tasks = [task for replica in old_replicas for task in replica.tasks]
+        if old_tasks:
+            _, late = await asyncio.wait(old_tasks, timeout=drain_timeout)
+            if late:
                 raise TimeoutError(
                     f"old replicas of {name!r} still busy after "
                     f"{drain_timeout}s drain"
                 )
-            await asyncio.sleep(self.flush_interval)
         worker.drain()  # anything withheld during the drain pops now
         # Drained worker-process replicas release their children here (a
         # no-op for in-process predictors, which have no close()).
@@ -886,18 +981,20 @@ class AsyncServingServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind, spin up the thread pool and flush loop; returns the address.
+        """Bind and spin up the thread pool; returns the address.
 
-        The pool gets one thread per registered slot — flushes on distinct
-        slots overlap, a worker-process slot's thread only blocks on its
-        socket — plus one, so a swap's checkpoint load never queues behind
-        a flush.
+        The pool gets one thread per in-process slot, so flushes on distinct
+        slots overlap, plus one, so a swap's checkpoint load never queues
+        behind a flush.  Worker-process slots need no thread: the loop
+        awaits their chunks.
         """
         if not self._models:
             raise RuntimeError("no models registered; call add_model() first")
         self._loop = asyncio.get_running_loop()
         self.num_workers = 1 + sum(
-            len(worker.replicas) for worker in self._models.values()
+            _exchange(replica.predictor) is None
+            for worker in self._models.values()
+            for replica in worker.replicas
         )
         self._executor = ThreadPoolExecutor(
             max_workers=self.num_workers, thread_name_prefix="repro-serve"
@@ -906,7 +1003,7 @@ class AsyncServingServer:
             self._handle_connection, self.host, self.port
         )
         self._started_at = time.monotonic()
-        self._flush_task = self._loop.create_task(self._flush_loop())
+        self._cpu_started = time.process_time()
         host, port = self.address
         self._log.info(
             "server_started",
@@ -948,7 +1045,7 @@ class AsyncServingServer:
 
         Stops accepting, terminates every queued prediction with
         ``shutting_down`` (never leaves a client hanging), waits for
-        in-executor flushes to finish, then closes connections and the pool.
+        running flushes to finish, then closes connections and the pool.
         """
         if self._stopped:
             return
@@ -961,16 +1058,11 @@ class AsyncServingServer:
             # only return once their clients' pending responses (delivered
             # below) have gone out and the transports are closed.
             self._server.close()
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
         # Fail everything still queued; handles become terminally done.
         for worker in self._models.values():
+            worker.cancel_timer()
             worker.batcher.shutdown("server shutting down")
-        # Let chunks already on the pool finish (their waiters get results).
+        # Let chunks already running finish (their waiters get results).
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
         for worker in self._models.values():
@@ -1000,8 +1092,8 @@ class AsyncServingServer:
             await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        # Tear down worker processes last: in-executor chunks are finished,
-        # so killing the children can no longer fail a flush.
+        # Tear down worker processes last: every chunk is finished, so
+        # killing the children can no longer fail a flush.
         for worker in self._models.values():
             for replica in worker.replicas:
                 self._close_predictor(replica.predictor)
@@ -1016,19 +1108,10 @@ class AsyncServingServer:
             abandoned_tasks=self.abandoned_tasks,
         )
 
-    async def _flush_loop(self) -> None:
-        """Background max-wait timer: the caller never has to poll."""
-        while True:
-            await asyncio.sleep(self.flush_interval)
-            for worker in self._models.values():
-                # Idle models are skipped without touching their lock.
-                if worker.batcher.pending_count:
-                    worker.drain()
-
     def _track_task(self, task: asyncio.Task) -> None:
         """Keep a strong reference to a chunk task until it completes.
 
-        ``stop`` awaits this set so in-executor flushes finish (and their
+        ``stop`` awaits this set so running flushes finish (and their
         waiters resolve) before connections are torn down.
         """
         self._tasks.add(task)
@@ -1076,7 +1159,9 @@ class AsyncServingServer:
             response["v"] = reply_v
             encode_s = await conn.send(response)
             if self.instrument:
-                self.metrics.histogram("serve_encode_seconds").record(encode_s)
+                if self._encode_hist is None:
+                    self._encode_hist = self.metrics.histogram("serve_encode_seconds")
+                self._encode_hist.record(encode_s)
 
         try:
             op, req_id = protocol.validate_request(message)
@@ -1242,9 +1327,7 @@ class AsyncServingServer:
 
     def _record_admission(self, worker: _ModelWorker, admission_s: float) -> None:
         if self.instrument:
-            self.metrics.histogram(
-                STAGE_METRIC, model=worker.name, stage="admission"
-            ).record(admission_s)
+            worker.stage_histogram("admission").record(admission_s)
 
     async def _op_health(self, conn: _Connection, message: dict) -> dict:
         return {
@@ -1271,9 +1354,22 @@ class AsyncServingServer:
                 "abandoned_tasks": self.abandoned_tasks,
                 "model_swaps": self.model_swaps,
                 "workers": self.num_workers,
+                "cpu_ms_per_row": self._cpu_ms_per_row(),
             },
             "models": {name: worker.stats() for name, worker in self._models.items()},
         }
+
+    def _cpu_ms_per_row(self) -> float | None:
+        """This process's CPU milliseconds per answered row since start().
+
+        ``time.process_time`` counts every thread of the process, so a
+        server embedded next to its clients counts their CPU too.  None
+        until a row has been answered.
+        """
+        rows = sum(worker.completed for worker in self._models.values())
+        if not rows:
+            return None
+        return round((time.process_time() - self._cpu_started) * 1e3 / rows, 4)
 
     async def _op_observe(self, conn: _Connection, message: dict) -> dict:
         worker = self._worker(message)

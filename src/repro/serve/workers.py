@@ -17,8 +17,9 @@ is built on:
   state (``rng.bit_generator.state``), so a worker's forward is numerically
   identical to an in-process predictor running the same chunk: offline replay
   from ``(seed, batch_id)`` is independent of worker placement.
-* **Faults** — a worker crash or stall surfaces as an exception in
-  ``run_chunk`` on the parent's executor thread, which is exactly the signal
+* **Faults** — a worker crash or stall surfaces as an exception from the
+  chunk exchange the server awaits on its event loop
+  (:meth:`WorkerPredictor.predict_world_async`), which is exactly the signal
   the circuit breakers consume: the slot's breaker opens, the
   supervisor thread respawns the child, and the half-open probe lands on the
   fresh process.  ``swap_model`` drains/promotes worker pools the same way
@@ -32,7 +33,8 @@ port (always port 0 + discovery — never a fixed port):
 
 * ``worker_handshake`` → ``{pid, obs_len, pred_len, model, protocol}``;
 * ``worker_chunk`` with ``batch`` (binary tensor fields), ``num_samples``
-  and ``rng_state`` → ``{samples}`` as a binary tensor frame.
+  and ``rng_state`` → ``{samples, compute_s}`` as a binary tensor frame
+  (``compute_s``: the child's own ``predict_world`` wall seconds).
 
 Corrupt *framing* closes the connection (the stream can no longer be
 trusted); a decodable-but-invalid *message* gets a typed error response —
@@ -50,6 +52,7 @@ stdin reaches EOF (no orphans when the parent dies).
 from __future__ import annotations
 
 import argparse
+import asyncio
 import importlib
 import json
 import os
@@ -320,9 +323,12 @@ def _handle_worker_message(message: dict, predictor, predictor_lock) -> dict:
             protocol.E_BAD_REQUEST,
         )
     with predictor_lock:
+        started = time.monotonic()
         samples = predictor.predict_world(batch, num_samples, rng)
+        compute_s = time.monotonic() - started
     return protocol.ok_response(
-        req_id, {"samples": np.asarray(samples, dtype=np.float64)}
+        req_id,
+        {"samples": np.asarray(samples, dtype=np.float64), "compute_s": compute_s},
     )
 
 
@@ -409,6 +415,13 @@ def main(argv: list[str] | None = None) -> int:
 # ----------------------------------------------------------------------
 # Parent process: handles, predictors, pools
 # ----------------------------------------------------------------------
+async def _drain_and_read(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> dict | None:
+    await writer.drain()
+    return await protocol.read_frame(reader)
+
+
 class _WorkerProcess:
     """One spawned child + its persistent worker-plane connection."""
 
@@ -420,6 +433,12 @@ class _WorkerProcess:
         start_timeout: float = DEFAULT_START_TIMEOUT,
     ) -> None:
         self.chunk_timeout = chunk_timeout
+        self._req_id = 0
+        #: The event loop's ``(reader, writer)`` on this connection and the
+        #: loop that owns it; opened by the first :meth:`call_async`.
+        self._stream: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
+        self._stream_loop: asyncio.AbstractEventLoop | None = None
+        self._killed = False
         env = dict(os.environ)
         # The child must import repro exactly as this process does.
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
@@ -446,7 +465,6 @@ class _WorkerProcess:
             )
             self.sock.settimeout(chunk_timeout)
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._req_id = 0
             self.hello = self.call("worker_handshake")
         except BaseException:
             self.kill()
@@ -479,24 +497,62 @@ class _WorkerProcess:
     def alive(self) -> bool:
         return self.proc.poll() is None
 
+    def _request(self, op: str, fields: dict) -> tuple[int, bytes]:
+        self._req_id += 1
+        frame = protocol.encode_frame_auto(protocol.request(op, self._req_id, **fields))
+        return self._req_id, frame
+
+    def _stalled(self, op: str) -> WorkerStallError:
+        return WorkerStallError(
+            f"worker pid {self.pid} did not answer {op!r} within "
+            f"{self.chunk_timeout:.0f}s"
+        )
+
+    def _broken(self, op: str, error: BaseException) -> WorkerCrashedError:
+        return WorkerCrashedError(
+            f"worker pid {self.pid} connection broke during {op!r}: {error}"
+        )
+
     def call(self, op: str, **fields) -> dict:
         """One request/response round trip on the persistent connection."""
-        self._req_id += 1
-        req_id = self._req_id
+        req_id, frame = self._request(op, fields)
         try:
-            self.sock.sendall(
-                protocol.encode_frame_auto(protocol.request(op, req_id, **fields))
-            )
+            self.sock.sendall(frame)
             response = protocol.read_frame_sync(self.sock)
         except socket.timeout as error:
-            raise WorkerStallError(
-                f"worker pid {self.pid} did not answer {op!r} within "
-                f"{self.chunk_timeout:.0f}s"
-            ) from error
+            raise self._stalled(op) from error
         except (OSError, protocol.ProtocolError) as error:
-            raise WorkerCrashedError(
-                f"worker pid {self.pid} connection broke during {op!r}: {error}"
-            ) from error
+            raise self._broken(op, error) from error
+        return self._result(op, req_id, response)
+
+    async def call_async(self, op: str, **fields) -> dict:
+        """:meth:`call` awaited on the event loop, over an asyncio stream.
+
+        The first call wraps a duplicate descriptor of the handshake's
+        socket — the same connection, no second one — so the loop owns and
+        closes its descriptor while the supervisor thread closes the
+        original.  No answer within ``chunk_timeout`` is a stall.
+        """
+        req_id, frame = self._request(op, fields)
+        try:
+            if self._stream is None:
+                self._stream_loop = asyncio.get_running_loop()
+                self._stream = await asyncio.open_connection(sock=self.sock.dup())
+                if self._killed:  # kill() ran while the stream was opening
+                    self._close_stream()
+                    raise OSError("worker killed")
+            reader, writer = self._stream
+            writer.write(frame)
+            response = await asyncio.wait_for(
+                _drain_and_read(reader, writer), self.chunk_timeout
+            )
+        except asyncio.TimeoutError as error:  # before OSError: it subclasses it
+            raise self._stalled(op) from error
+        except (OSError, protocol.ProtocolError) as error:
+            raise self._broken(op, error) from error
+        return self._result(op, req_id, response)
+
+    def _result(self, op: str, req_id: int, response: dict | None) -> dict:
         if response is None:
             raise WorkerCrashedError(
                 f"worker pid {self.pid} closed the connection during {op!r}"
@@ -519,8 +575,30 @@ class _WorkerProcess:
             )
         return result
 
+    def _close_stream(self) -> None:
+        """Close the event loop's stream, on that loop (any thread may ask)."""
+        stream, self._stream = self._stream, None
+        if stream is None:
+            return
+        try:
+            self._stream_loop.call_soon_threadsafe(stream[1].close)
+        except RuntimeError:
+            pass  # the loop is closed: nothing left to close the stream on
+
+    def abort(self) -> None:
+        """Kill the child from the event loop without waiting for the reap.
+
+        The supervisor thread is already waiting on the child; it reaps it,
+        closes the original socket and respawns.
+        """
+        self._killed = True
+        self._close_stream()
+        self.proc.kill()
+
     def kill(self) -> None:
         """Idempotent teardown: close the socket/pipes, kill the child."""
+        self._killed = True
+        self._close_stream()
         sock = getattr(self, "sock", None)
         if sock is not None:
             try:
@@ -547,10 +625,11 @@ class WorkerPredictor:
     Duck-types the :class:`~repro.serve.predictor.Predictor` surface the
     batcher/router need (``obs_len``/``pred_len``/``predict_world``), so the
     whole slot machinery — least-in-flight routing, per-slot locks, circuit
-    breakers, swap/drain — works unchanged.  A transport
+    breakers, swap/drain — works unchanged; the server awaits
+    :meth:`predict_world_async` on its event loop instead.  A transport
     failure (crash, stall, malformed answer) raises
     :class:`WorkerCrashedError`/:class:`WorkerStallError` out of
-    ``predict_world``: the chunk fails with a typed error, the slot's
+    either form: the chunk fails with a typed error, the slot's
     breaker opens, and the supervisor thread respawns the child so the
     half-open probe lands on a fresh process.  A *typed* worker-side error
     (the model itself failed) propagates as
@@ -659,27 +738,15 @@ class WorkerPredictor:
     def predict_world(self, batch, num_samples, rng) -> np.ndarray:
         """Run one collated chunk in the worker; world-frame samples back.
 
-        The per-slot lock the router already holds serializes flushes per
-        slot, but the internal lock also covers supervisor respawns — a call
-        never interleaves with a connection swap.
+        The blocking form, for callers off the event loop.  The internal
+        lock covers supervisor respawns — a call never interleaves with a
+        connection swap.
         """
-        wire = batch_to_wire(batch)
-        state = rng_state_to_wire(new_rng(rng))
+        fields = self._chunk_fields(batch, num_samples, rng)
         with self._lock:
-            if self._closed:
-                raise WorkerCrashedError(f"worker {self.label} is closed")
-            proc = self._proc
-            if proc is None:
-                raise WorkerCrashedError(
-                    f"worker {self.label} is down (respawn in progress)"
-                )
+            proc = self._live_proc()
             try:
-                result = proc.call(
-                    "worker_chunk",
-                    batch=wire,
-                    num_samples=int(num_samples),
-                    rng_state=state,
-                )
+                result = proc.call("worker_chunk", **fields)
             except (WorkerCrashedError, WorkerStallError):
                 # Transport-level failure: kill the child (a stalled one is
                 # still holding the CPU) and let the supervisor respawn.
@@ -690,6 +757,59 @@ class WorkerPredictor:
             except protocol.RemoteServingError:
                 self.failures += 1
                 raise
+        return self._chunk_result(result, batch, num_samples)[0]
+
+    async def predict_world_async(
+        self, batch, num_samples, rng
+    ) -> tuple[np.ndarray, float]:
+        """:meth:`predict_world` awaited on the event loop.
+
+        The server's path for a worker slot: the loop writes the chunk frame
+        and awaits the reply, so no thread blocks on the socket.  Returns
+        ``(samples, compute_s)``, where ``compute_s`` is the child's own
+        forward time.  A stall or a broken connection kills the child
+        without waiting for the reap; the supervisor thread reaps it and
+        respawns.  Never mix with :meth:`predict_world` on one slot: both
+        speak on its one connection.
+        """
+        fields = self._chunk_fields(batch, num_samples, rng)
+        with self._lock:
+            proc = self._live_proc()
+        try:
+            result = await proc.call_async("worker_chunk", **fields)
+        except (WorkerCrashedError, WorkerStallError):
+            self.failures += 1
+            with self._lock:
+                if self._proc is proc:
+                    self._proc = None
+            proc.abort()
+            raise
+        except protocol.RemoteServingError:
+            self.failures += 1
+            raise
+        return self._chunk_result(result, batch, num_samples)
+
+    def _live_proc(self) -> _WorkerProcess:
+        """The current child (call under ``self._lock``); raises when down."""
+        if self._closed:
+            raise WorkerCrashedError(f"worker {self.label} is closed")
+        if self._proc is None:
+            raise WorkerCrashedError(
+                f"worker {self.label} is down (respawn in progress)"
+            )
+        return self._proc
+
+    @staticmethod
+    def _chunk_fields(batch, num_samples, rng) -> dict:
+        return {
+            "batch": batch_to_wire(batch),
+            "num_samples": int(num_samples),
+            "rng_state": rng_state_to_wire(new_rng(rng)),
+        }
+
+    def _chunk_result(
+        self, result: dict, batch, num_samples
+    ) -> tuple[np.ndarray, float]:
         samples = result.get("samples")
         if not isinstance(samples, np.ndarray):
             raise WorkerCrashedError(
@@ -701,8 +821,13 @@ class WorkerPredictor:
                 f"worker {self.label} answered samples of shape {samples.shape}, "
                 f"expected {expected}"
             )
+        compute_s = result.get("compute_s")
+        if not isinstance(compute_s, (int, float)) or isinstance(compute_s, bool):
+            raise WorkerCrashedError(
+                f"worker {self.label} answered a chunk without its compute_s"
+            )
         self.chunks += 1
-        return np.asarray(samples, dtype=np.float64)
+        return np.asarray(samples, dtype=np.float64), float(compute_s)
 
     def describe(self) -> str:
         return f"WorkerPredictor({self.label}, model={self.model}, pid={self.pid})"

@@ -79,6 +79,54 @@ def test_histogram_bucket_edges_are_upper_inclusive():
     assert snap["min"] == 0.5 and snap["max"] == 11.0
 
 
+def _bucket_index(hist: Histogram, value: float) -> int:
+    before = hist.snapshot()["buckets"]["counts"]
+    hist.record(value)
+    after = hist.snapshot()["buckets"]["counts"]
+    (index,) = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    return index
+
+
+def test_histogram_bucket_index_matches_searchsorted():
+    """``record``'s bucket is ``np.searchsorted(bounds, v, side="left")``
+    at every edge: each bound, values between bounds, zero and negatives,
+    both infinities and NaN (which searchsorted sorts past every bound)."""
+    bounds = np.asarray(DEFAULT_LATENCY_BOUNDS)
+    between = (bounds[:-1] + bounds[1:]) / 2
+    nudged = np.concatenate([np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf)])
+    values = np.concatenate(
+        [bounds, between, nudged, [0.0, -0.0, -1e-9, -5.0, np.inf, -np.inf, np.nan]]
+    )
+    hist = Histogram()
+    for value in values:
+        assert _bucket_index(hist, value) == int(
+            np.searchsorted(bounds, value, side="left")
+        ), value
+
+
+def test_histogram_snapshot_matches_searchsorted_reference():
+    """A recorded sequence snapshots exactly as searchsorted bucketing would."""
+    rng = np.random.default_rng(3)
+    values = np.concatenate(
+        [
+            rng.lognormal(mean=-6.0, sigma=3.0, size=2000),
+            np.asarray(DEFAULT_LATENCY_BOUNDS),
+            [0.0, -1.0, np.inf],
+        ]
+    )
+    hist = Histogram()
+    for value in values:
+        hist.record(value)
+    bounds = np.asarray(DEFAULT_LATENCY_BOUNDS)
+    expected = np.bincount(
+        np.searchsorted(bounds, values, side="left"), minlength=bounds.size + 1
+    )
+    snap = hist.snapshot()
+    assert snap["buckets"]["counts"] == expected.tolist()
+    assert snap["count"] == values.size
+    assert snap["min"] == values.min() and snap["max"] == values.max()
+
+
 def test_histogram_rejects_bad_bounds():
     with pytest.raises(ValueError):
         Histogram(bounds=())

@@ -7,8 +7,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import STAGE_METRIC, STAGES, Span, record_stages
+from repro.obs.trace import STAGES, Span
 from repro.obs.log import JsonLogger, get_logger
 
 
@@ -56,17 +55,6 @@ def test_canonical_stage_names():
         "inference",
         "encode",
     )
-
-
-def test_record_stages_feeds_per_model_histograms():
-    registry = MetricsRegistry()
-    record_stages(registry, "pecnet", {"queue_wait": 0.002, "inference": 0.01})
-    record_stages(registry, "pecnet", {"inference": 0.02})
-    snap = registry.snapshot()["histograms"]
-    inference = snap[f"{STAGE_METRIC}{{model=pecnet,stage=inference}}"]
-    assert inference["count"] == 2
-    assert inference["sum"] == pytest.approx(0.03)
-    assert snap[f"{STAGE_METRIC}{{model=pecnet,stage=queue_wait}}"]["count"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -421,11 +421,12 @@ class TestServedDeadlines:
         server.add_model("stub", slow, max_batch_size=1)
         thread, host, port = serve(server)
         try:
-            blocker = threading.Thread(
-                target=lambda: ServingClient.connect(host, port).predict(
-                    "stub", make_obs(0), deadline_ms=0
-                )
-            )
+
+            def occupy() -> None:
+                with ServingClient.connect(host, port) as client:
+                    client.predict("stub", make_obs(0), deadline_ms=0)
+
+            blocker = threading.Thread(target=occupy)
             blocker.start()
             time.sleep(0.1)  # the slow flush now owns the only replica
             started = time.monotonic()
@@ -499,24 +500,24 @@ class TestClientDeadlineMapping:
         return ServingClient(a, timeout=timeout)
 
     def test_timeout_maps_to_wire_deadline_by_default(self):
-        client = self.make_client(timeout=2.5)
-        fields = self.capture_fields(client)
-        client.predict("m", make_obs(0))
+        with self.make_client(timeout=2.5) as client:
+            fields = self.capture_fields(client)
+            client.predict("m", make_obs(0))
         assert fields["deadline_ms"] == 2500.0
 
     def test_explicit_deadline_overrides_and_zero_disables(self):
-        client = self.make_client(timeout=2.5)
-        fields = self.capture_fields(client)
-        client.predict("m", make_obs(0), deadline_ms=150)
-        assert fields["deadline_ms"] == 150.0
-        fields.clear()
-        client.predict("m", make_obs(0), deadline_ms=0)
+        with self.make_client(timeout=2.5) as client:
+            fields = self.capture_fields(client)
+            client.predict("m", make_obs(0), deadline_ms=150)
+            assert fields["deadline_ms"] == 150.0
+            fields.clear()
+            client.predict("m", make_obs(0), deadline_ms=0)
         assert "deadline_ms" not in fields
 
     def test_no_timeout_means_no_deadline(self):
-        client = self.make_client(timeout=None)
-        fields = self.capture_fields(client)
-        client.predict_frame("m", 7)
+        with self.make_client(timeout=None) as client:
+            fields = self.capture_fields(client)
+            client.predict_frame("m", 7)
         assert "deadline_ms" not in fields
 
 
@@ -548,41 +549,41 @@ class TestRetryBudget:
         policy = RetryPolicy(
             retries=10, base_delay=0.4, multiplier=2.0, jitter=0.0, max_elapsed=1.0
         )
-        client = self.make_client(policy)
-        sleeps = self.drive(
-            client,
-            [RemoteServingError(protocol.E_OVERLOADED, "busy") for _ in range(11)],
-        )
-        with pytest.raises(RemoteServingError):
-            client.call("predict")
+        with self.make_client(policy) as client:
+            sleeps = self.drive(
+                client,
+                [RemoteServingError(protocol.E_OVERLOADED, "busy") for _ in range(11)],
+            )
+            with pytest.raises(RemoteServingError):
+                client.call("predict")
         # 0.4 + 0.8 would blow the 1.0s budget at the second sleep: only the
         # first retry is taken even though 10 were allowed.
         assert sleeps == [0.4]
 
     def test_budget_defaults_to_client_timeout(self):
         policy = RetryPolicy(retries=10, base_delay=0.3, multiplier=1.0, jitter=0.0)
-        client = self.make_client(policy, timeout=1.0)
-        sleeps = self.drive(
-            client,
-            [RemoteServingError(protocol.E_OVERLOADED, "busy") for _ in range(11)],
-        )
-        with pytest.raises(RemoteServingError):
-            client.call("predict")
+        with self.make_client(policy, timeout=1.0) as client:
+            sleeps = self.drive(
+                client,
+                [RemoteServingError(protocol.E_OVERLOADED, "busy") for _ in range(11)],
+            )
+            with pytest.raises(RemoteServingError):
+                client.call("predict")
         assert sleeps == [0.3, 0.3, 0.3]  # 4th sleep would exceed 1.0s
 
     def test_no_timeout_no_budget(self):
         policy = RetryPolicy(
             retries=3, base_delay=10.0, max_delay=10.0, jitter=0.0
         )
-        client = self.make_client(policy, timeout=None)
-        sleeps = self.drive(
-            client,
-            [
-                RemoteServingError(protocol.E_OVERLOADED, "busy"),
-                {"fine": True},
-            ],
-        )
-        assert client.call("predict") == {"fine": True}
+        with self.make_client(policy, timeout=None) as client:
+            sleeps = self.drive(
+                client,
+                [
+                    RemoteServingError(protocol.E_OVERLOADED, "busy"),
+                    {"fine": True},
+                ],
+            )
+            assert client.call("predict") == {"fine": True}
         assert sleeps == [10.0]
 
     def test_invalid_max_elapsed_rejected(self):

@@ -297,6 +297,104 @@ class TestBackpressure:
         assert max(predictor.batch_sizes) > 1  # genuine coalescing happened
 
 
+class FailFirstPredictor(StubPredictor):
+    """Its first forward runs ``delay`` seconds and then raises."""
+
+    def __init__(self, delay: float) -> None:
+        super().__init__()
+        self.first_delay = delay
+        self.calls = 0
+
+    def predict_world(self, batch, num_samples, rng):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(self.first_delay)
+            raise RuntimeError("first forward fails")
+        return super().predict_world(batch, num_samples, rng)
+
+
+class TestDrainTimer:
+    """One timer per model, armed only while queued work waits on the clock."""
+
+    @pytest.mark.server_config(model={"max_wait": 0.0})
+    def test_idle_server_arms_no_timer(self, running):
+        server, host, port, _ = running
+        worker = server._models["stub"]
+        assert worker._timer is None
+        with ServingClient.connect(host, port) as client:
+            client.predict("stub", make_obs(1))
+        assert worker._timer is None
+
+    @pytest.mark.server_config(model={"max_wait": 0.05})
+    def test_lone_request_is_answered_at_max_wait(self, running):
+        server, host, port, _ = running
+        with ServingClient.connect(host, port) as client:
+            client.health()
+            started = time.perf_counter()
+            _, meta = client.predict("stub", make_obs(2), trace=True)
+            elapsed = time.perf_counter() - started
+        queue_wait = meta["trace"]["stages"]["queue_wait"]
+        assert 0.05 <= queue_wait < 0.05 + 0.015
+        assert elapsed >= 0.05
+        assert server._models["stub"]._timer is None  # nothing left queued
+
+    @pytest.mark.server_config(predictor=StubPredictor(delay=0.4))
+    def test_request_behind_a_busy_slot_expires_at_its_deadline(self, running):
+        _, host, port, _ = running
+
+        def occupy() -> None:
+            with ServingClient.connect(host, port) as client:
+                client.predict("stub", make_obs(0), deadline_ms=0)
+
+        blocker = threading.Thread(target=occupy)
+        blocker.start()
+        time.sleep(0.1)  # the slow forward now holds the only slot
+        with ServingClient.connect(host, port) as client:
+            started = time.perf_counter()
+            with pytest.raises(RemoteServingError) as excinfo:
+                client.predict("stub", make_obs(1), deadline_ms=50)
+            elapsed = time.perf_counter() - started
+        blocker.join(timeout=10.0)
+        assert excinfo.value.code == protocol.E_DEADLINE_EXCEEDED
+        # Swept out of the queue at its deadline, not after the slow forward.
+        assert 0.05 <= elapsed < 0.05 + 0.04
+
+    @pytest.mark.server_config(
+        predictor=FailFirstPredictor(delay=0.2),
+        breaker_threshold=1,
+        breaker_cooldown=0.2,
+    )
+    def test_work_queued_behind_an_open_breaker_runs_after_its_cooldown(
+        self, running
+    ):
+        """The failing chunk opens the only breaker with a request queued
+        behind it; nothing else arrives, so the timer alone must pop it as
+        the half-open probe once the cooldown ends."""
+        _, host, port, _ = running
+        outcome: dict[str, object] = {}
+
+        def failing() -> None:
+            with ServingClient.connect(host, port) as client:
+                try:
+                    client.predict("stub", make_obs(0), deadline_ms=0)
+                except RemoteServingError as error:
+                    outcome["first"] = error.code
+
+        first = threading.Thread(target=failing)
+        first.start()
+        time.sleep(0.1)  # the failing forward holds the slot
+        obs = make_obs(1)
+        with ServingClient.connect(host, port, timeout=5.0) as client:
+            started = time.perf_counter()
+            samples = client.predict("stub", obs, deadline_ms=0)
+            elapsed = time.perf_counter() - started
+        first.join(timeout=10.0)
+        assert outcome["first"] == protocol.E_INTERNAL
+        np.testing.assert_allclose(samples[0], expected_extrapolation(obs), atol=1e-9)
+        # Queued at ~0.1 s, breaker opened at ~0.2 s, probe at ~0.4 s.
+        assert 0.25 <= elapsed < 1.0
+
+
 class TestRealModelEquivalence:
     def test_served_predictions_match_offline_replay(
         self, trained_vanilla, request_factory

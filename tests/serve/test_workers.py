@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
 from pathlib import Path
@@ -27,6 +28,9 @@ import pytest
 from repro.lint import run_lint
 from repro.serve import (
     AsyncServingServer,
+    FaultPlan,
+    FaultRule,
+    FaultyPredictor,
     PredictRequest,
     RemoteServingError,
     ServerThread,
@@ -314,17 +318,30 @@ def start_worker_server(
 
 
 def replay_offline(records, *, seed: int, num_samples: int, reference) -> None:
-    """Verify every served prediction from its ``(seed, batch_id)`` meta."""
+    """Verify every served prediction from its ``(seed, batch_id)`` meta.
+
+    Records are grouped by batch and recomposed in row order: every batch
+    must come back row-complete, and each row must match the offline
+    replay of its batch.
+    """
     assert records, "chaos run produced no successful responses to replay"
-    for obs, samples, meta in records:
+    by_batch: dict[int, list] = {}
+    for record in records:
+        by_batch.setdefault(record[2]["batch_id"], []).append(record)
+    for batch_id, rows in by_batch.items():
+        rows.sort(key=lambda record: record[2]["row"])
+        assert [meta["row"] for _, _, meta in rows] == list(
+            range(rows[0][2]["batch_size"])
+        ), f"batch {batch_id} rows incomplete or duplicated"
         batch = collate_requests(
-            [PredictRequest(request_id="replay", obs=obs)]
+            [PredictRequest(request_id=i, obs=r[0]) for i, r in enumerate(rows)]
         )
-        rng = np.random.default_rng((seed, meta["batch_id"]))
+        rng = np.random.default_rng((seed, batch_id))
         expected = reference.predict_world(batch, num_samples, rng)
-        np.testing.assert_allclose(
-            samples, expected[:, meta["row"]], rtol=0, atol=1e-6
-        )
+        for row, (_, samples, _) in enumerate(rows):
+            np.testing.assert_allclose(
+                samples, expected[:, row], rtol=0, atol=1e-6
+            )
 
 
 class TestServerChaos:
@@ -476,24 +493,206 @@ class TestWorkerRouting:
         assert [s["chunks"] > 0 for s in slots] == [True, True], (
             f"load was not spread across workers: {[s['chunks'] for s in slots]}"
         )
-        assert stats["server"]["workers"] == 3  # 2 slots + 1
-        by_batch: dict[int, list] = {}
-        for record in records:
-            by_batch.setdefault(record[2]["batch_id"], []).append(record)
-        for batch_id, rows in by_batch.items():
-            rows.sort(key=lambda record: record[2]["row"])
-            assert [meta["row"] for _, _, meta in rows] == list(
-                range(rows[0][2]["batch_size"])
-            ), f"batch {batch_id} rows incomplete or duplicated"
-            batch = collate_requests(
-                [PredictRequest(request_id=i, obs=r[0]) for i, r in enumerate(rows)]
-            )
-            rng = np.random.default_rng((7, batch_id))
-            expected = reference.predict_world(batch, 4, rng)
-            for row, (_, samples, _) in enumerate(rows):
-                np.testing.assert_allclose(
-                    samples, expected[:, row], rtol=0, atol=1e-6
+        # The pool serves in-process slots only (none here) + 1: the loop
+        # awaits worker-slot chunks itself.
+        assert stats["server"]["workers"] == 1
+        replay_offline(records, seed=7, num_samples=4, reference=reference)
+
+
+# ----------------------------------------------------------------------
+# Worker-slot chunks run on the event loop
+# ----------------------------------------------------------------------
+class TestLoopExchange:
+    def test_worker_chunks_never_enter_the_thread_pool(self):
+        spec = WorkerSpec(factory=SEEDED, kwargs={"seed": 0})
+        server, thread, host, port = start_worker_server(spec, workers=2)
+        reference = seeded_predictor(seed=0)
+        executor = server._executor
+        submitted: list = []
+        real_submit = executor.submit
+
+        def spy(fn, *args, **kwargs):
+            submitted.append(fn)
+            return real_submit(fn, *args, **kwargs)
+
+        executor.submit = spy
+        records = []
+        try:
+            with ServingClient.connect(host, port, binary=True, dtype="f8") as client:
+                assert client.stats()["server"]["cpu_ms_per_row"] is None
+                for seed in range(6):
+                    obs = make_obs(seed=seed)
+                    samples, meta = client.predict("m", obs, trace=True)
+                    records.append((obs, samples, meta))
+                stats = client.stats()
+        finally:
+            thread.stop()
+        assert submitted == []
+        assert stats["server"]["workers"] == 1  # in-process slots (none) + 1
+        assert sum(r["chunks"] for r in stats["models"]["m"]["replicas"]) == 6
+        assert stats["server"]["cpu_ms_per_row"] > 0
+        for _, _, meta in records:
+            stages = meta["trace"]["stages"]
+            # The child's forward is nested inside the exchange.
+            assert 0 < stages["compute"] <= stages["inference"]
+        replay_offline(records, seed=7, num_samples=4, reference=reference)
+
+    def test_parent_side_latency_rule_delays_only_that_chunk(self):
+        """A wrapped worker slot's latency rule sleeps on the loop without
+        blocking it: a health probe answers while the chunk waits."""
+        spec = WorkerSpec(factory=SEEDED, kwargs={"seed": 0})
+        server = AsyncServingServer(max_in_flight=64, seed=7)
+        server.add_model("m", spec, num_samples=4, worker_chunk_timeout=15.0)
+        plan = FaultPlan(0, [FaultRule("predict", "latency", delay=0.5, count=1)])
+        slot = server._models["m"].replicas[0]
+        slot.predictor = FaultyPredictor(slot.predictor, plan)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        reference = seeded_predictor(seed=0)
+        slow: dict = {}
+
+        def delayed_predict() -> None:
+            obs = make_obs(seed=5)
+            with ServingClient.connect(host, port, binary=True, dtype="f8") as client:
+                started = time.perf_counter()
+                samples, meta = client.predict("m", obs, return_meta=True)
+                slow.update(
+                    record=(obs, samples, meta),
+                    elapsed=time.perf_counter() - started,
                 )
+
+        try:
+            in_flight = threading.Thread(target=delayed_predict)
+            in_flight.start()
+            time.sleep(0.15)  # the chunk now sleeps in the plan
+            with ServingClient.connect(host, port) as client:
+                started = time.perf_counter()
+                assert client.health()["status"] == "ok"
+                health_s = time.perf_counter() - started
+            in_flight.join(timeout=30)
+        finally:
+            thread.stop()
+        assert plan.injected == {"predict:latency": 1}
+        assert health_s < 0.2
+        assert slow["elapsed"] >= 0.5
+        replay_offline([slow["record"]], seed=7, num_samples=4, reference=reference)
+
+    def test_stall_kills_respawns_and_later_rows_replay(self):
+        """A child that stops answering is a stall on the loop: the chunk
+        fails typed after the chunk timeout, the child is killed and
+        respawned, and rows served afterwards replay offline."""
+        # The first child's second call stalls; the respawned child's first
+        # call (the half-open probe) is clean.
+        rules = [
+            dict(site="predict", kind="stall", after=1, count=1, rate=1.0, delay=30.0)
+        ]
+        spec = WorkerSpec(factory=FAULTY, kwargs={"rules": rules, "seed": 0})
+        server = AsyncServingServer(
+            max_in_flight=64, seed=7, breaker_threshold=1, breaker_cooldown=0.2
+        )
+        server.add_model("m", spec, num_samples=4, worker_chunk_timeout=1.0)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        reference = seeded_predictor(seed=0)
+        slot = server._worker_pools[0].predictors[0]
+        victim = slot.pid
+        records = []
+        try:
+            with ServingClient.connect(host, port, binary=True, dtype="f8") as client:
+                obs = make_obs(seed=20)
+                records.append((obs, *client.predict("m", obs, return_meta=True)))
+                started = time.perf_counter()
+                with pytest.raises(RemoteServingError) as excinfo:
+                    client.predict("m", make_obs(seed=21))
+                assert time.perf_counter() - started >= 1.0
+                assert excinfo.value.code == "internal"
+                assert "WorkerStallError" in str(excinfo.value)
+                obs = make_obs(seed=22)
+                deadline = time.monotonic() + 30
+                while True:
+                    try:
+                        samples, meta = client.predict("m", obs, return_meta=True)
+                        break
+                    except RemoteServingError as error:
+                        assert error.code in ("unavailable", "internal")
+                        assert time.monotonic() < deadline, "never recovered"
+                        time.sleep(0.1)
+                records.append((obs, samples, meta))
+        finally:
+            thread.stop()
+        assert slot.respawns >= 1
+        assert wait_until(lambda: not _pid_alive(victim), timeout=10)
+        replay_offline(records, seed=7, num_samples=4, reference=reference)
+
+    def test_kill_storm_under_load_resolves_every_request(self):
+        """Children SIGKILLed again and again while clients keep the loop
+        busy — more slots than cores, and a short switch interval so the
+        supervisor threads' respawns interleave with the loop's streams:
+        every request ends with samples or a typed error, nothing hangs,
+        and every served row replays offline."""
+        spec = WorkerSpec(factory=SEEDED, kwargs={"seed": 0})
+        server, thread, host, port = start_worker_server(
+            spec, workers=3, breaker_threshold=2, breaker_cooldown=0.05
+        )
+        pool = server._worker_pools[0]
+        records, codes = [], []
+        lock = threading.Lock()
+        storm_over = threading.Event()
+
+        def load(client_id: int) -> None:
+            with ServingClient.connect(host, port, binary=True, dtype="f8") as client:
+                index = 0
+                while not storm_over.is_set():
+                    obs = make_obs(seed=1000 * client_id + index)
+                    index += 1
+                    try:
+                        samples, meta = client.predict("m", obs, return_meta=True)
+                    except RemoteServingError as error:
+                        with lock:
+                            codes.append(error.code)
+                        time.sleep(0.02)
+                    else:
+                        with lock:
+                            records.append((obs, samples, meta))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        clients = [threading.Thread(target=load, args=(c,)) for c in range(4)]
+        try:
+            for client in clients:
+                client.start()
+            for kill in range(6):
+                time.sleep(0.25)
+                pid = pool.predictors[kill % 3].pid
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+            storm_over.set()
+            for client in clients:
+                client.join(timeout=60)
+            assert not any(c.is_alive() for c in clients), "a client hung"
+            with ServingClient.connect(host, port, binary=True, dtype="f8") as client:
+                obs = make_obs(seed=99)
+                deadline = time.monotonic() + 30
+                while True:
+                    try:
+                        records.append((obs, *client.predict("m", obs, return_meta=True)))
+                        break
+                    except RemoteServingError as error:
+                        assert error.code in ("unavailable", "internal")
+                        assert time.monotonic() < deadline, "never recovered"
+                        time.sleep(0.1)
+            pids = [p.pid for p in pool.predictors]
+        finally:
+            storm_over.set()
+            sys.setswitchinterval(previous)
+            thread.stop()
+        assert set(codes) <= {"internal", "unavailable"}, set(codes)
+        assert sum(p.respawns for p in pool.predictors) >= 1
+        assert all(p.closed for p in pool.predictors)
+        assert wait_until(
+            lambda: not any(_pid_alive(pid) for pid in pids if pid), timeout=10
+        )
+        replay_offline(records, seed=7, num_samples=4, reference=seeded_predictor(seed=0))
 
 
 # ----------------------------------------------------------------------
