@@ -10,7 +10,8 @@ A request that sets ``trace: true`` gets its stage durations back in
 The canonical stages (:data:`STAGES`), in request order:
 
 ``admission``
-    Parse + admission control + enqueue (handler entry to queued).
+    Parse + admission control (handler entry up to the enqueue, where
+    ``queue_wait`` starts).
 ``queue_wait``
     Queued in the micro-batcher until popped into a flush chunk.
 ``coalesce``
@@ -29,8 +30,10 @@ The canonical stages (:data:`STAGES`), in request order:
     only — a response cannot carry the cost of its own serialization.
 
 A worker-process slot also reports ``compute``, the child's own forward
-time.  It is *nested* inside ``inference``, not a stage of its own, so it
-never counts toward a request's coverage of its total.
+time.  It is *nested* inside ``inference``, not a stage of its own: a
+trace carries it under ``nested`` and the server records it into
+``serve_nested_stage_seconds``, so it never counts toward a request's
+coverage of its total.
 
 Stage durations are recorded into per-model ``serve_stage_seconds``
 histograms by the server; all timing uses a monotonic clock and stages

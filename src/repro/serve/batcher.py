@@ -145,6 +145,7 @@ class PendingPrediction:
         "batch_row",
         "batch_size",
         "stage_s",
+        "nested_s",
     )
 
     def __init__(self, request: PredictRequest, enqueued_at: float) -> None:
@@ -167,6 +168,10 @@ class PendingPrediction:
         #: (:mod:`repro.obs.trace`).  Chunk-level stages are shared by every
         #: handle of the flush; ``queue_wait`` is per handle.
         self.stage_s: dict[str, float] | None = None
+        #: Durations that lie inside one of those stages (a worker slot's
+        #: ``compute``, inside ``inference``), shared by the chunk's handles;
+        #: they never count toward a request's coverage of its total.
+        self.nested_s: dict[str, float] | None = None
 
     @property
     def done(self) -> bool:
@@ -681,10 +686,18 @@ class MicroBatcher:
         return batch, rng, stage
 
     def complete_chunk(
-        self, chunk: FlushChunk, samples: np.ndarray, stage: dict[str, float]
+        self,
+        chunk: FlushChunk,
+        samples: np.ndarray,
+        stage: dict[str, float],
+        nested: dict[str, float] | None = None,
     ) -> list[PendingPrediction]:
-        """Second half of :meth:`run_chunk`: fulfil every handle of the chunk."""
-        self._fulfil(chunk, samples, stage)
+        """Second half of :meth:`run_chunk`: fulfil every handle of the chunk.
+
+        ``nested`` holds durations inside one of the ``stage`` entries; they
+        reach each handle's ``nested_s``.
+        """
+        self._fulfil(chunk, samples, stage, nested)
         with self._lock:
             self.total_batches += 1
             self.total_completed += len(chunk.handles)
@@ -756,7 +769,11 @@ class MicroBatcher:
         return batch, rng
 
     def _fulfil(
-        self, chunk: FlushChunk, samples: np.ndarray, stage: dict[str, float]
+        self,
+        chunk: FlushChunk,
+        samples: np.ndarray,
+        stage: dict[str, float],
+        nested: dict[str, float] | None = None,
     ) -> None:
         """Hand each handle its row of ``samples`` plus its replay meta."""
         for row, handle in enumerate(chunk.handles):
@@ -764,6 +781,7 @@ class MicroBatcher:
             handle.batch_row = row
             handle.batch_size = len(chunk.handles)
             handle.stage_s = self._handle_stages(handle, stage)
+            handle.nested_s = nested
             handle._set_result(samples[:, row])
 
     def _flush_locked(self, limit: int) -> list[PendingPrediction]:

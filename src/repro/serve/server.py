@@ -156,12 +156,6 @@ class CircuitBreaker:
         self.state = self.CLOSED
         self.opened_at = None
 
-    def cooldown_left(self) -> float | None:
-        """Seconds until an open breaker admits its probe; None unless open."""
-        if self.state != self.OPEN:
-            return None
-        return max(0.0, self.opened_at + self.cooldown - self.clock())
-
     def record_failure(self) -> None:
         """A chunk's forward raised; open on threshold (or a failed probe)."""
         self.consecutive_errors += 1
@@ -353,6 +347,7 @@ class _ModelWorker:
         #: Per-row histograms, looked up in the registry once, on first use.
         self._latency_hist: Histogram | None = None
         self._stage_hists: dict[str, Histogram] = {}
+        self._nested_hists: dict[str, Histogram] = {}
         # Latency accounting (submit -> resolve, event-loop clock).
         self.completed = 0
         self.latency_sum = 0.0
@@ -408,19 +403,13 @@ class _ModelWorker:
         """Keep one timer armed for the next moment a drain could act.
 
         A finished chunk drains on its own; only the clock releases the
-        oldest request's ``max_wait`` while a slot is idle to take it,
-        expires the earliest queued deadline, and — while queued work waits
-        on an idle slot's open breaker — ends that breaker's cooldown.  An
+        oldest request's ``max_wait`` while a slot is idle to take it and
+        expires the earliest queued deadline (the end of a breaker's
+        cooldown has its own wake-up, see :meth:`_record_breaker`).  An
         earlier due time re-arms the timer; an empty queue cancels it.
         """
         batcher = self.batcher
         due = batcher.next_due(allow_partial=self.router.idle)
-        if batcher.pending_count:
-            for replica in self.replicas:
-                left = None if replica.active else replica.breaker.cooldown_left()
-                if left is not None:
-                    probe_at = batcher.clock() + left
-                    due = probe_at if due is None else min(due, probe_at)
         if due is None:
             self.cancel_timer()
         elif self._timer is None or due < self._timer_due:
@@ -556,9 +545,9 @@ class _ModelWorker:
             batcher.fail_chunk(chunk, error)
             raise
         stage["inference"] = batcher.clock() - started
-        # The child's own forward, nested inside the exchange.
-        stage["compute"] = compute_s
-        batcher.complete_chunk(chunk, samples, stage)
+        # The child's own forward lies inside the exchange: a nested stage,
+        # kept out of ``stage`` so the stages still partition the total.
+        batcher.complete_chunk(chunk, samples, stage, nested={"compute": compute_s})
 
     def _record_breaker(self, replica: _Replica, *, failed: bool) -> None:
         """Feed a chunk verdict to the replica's breaker; log transitions."""
@@ -566,6 +555,10 @@ class _ModelWorker:
         before = breaker.state
         if failed:
             breaker.record_failure()
+            if breaker.state == CircuitBreaker.OPEN:
+                # Only the clock ends the (re)started cooldown: drain then,
+                # so work queued behind this slot becomes its probe.
+                self.server._loop.call_later(breaker.cooldown, self.drain)
         else:
             breaker.record_success()
         if breaker.state == before:
@@ -613,6 +606,8 @@ class _ModelWorker:
                 self.latency_histogram().record(latency)
                 for stage, seconds in (handle.stage_s or {}).items():
                     self.stage_histogram(stage).record(seconds)
+                for stage, seconds in (handle.nested_s or {}).items():
+                    self.nested_histogram(stage).record(seconds)
 
     def latency_histogram(self) -> Histogram:
         """``serve_latency_seconds{model=...}``, cached after the first call."""
@@ -628,6 +623,15 @@ class _ModelWorker:
         if hist is None:
             hist = self._stage_hists[stage] = self.server.metrics.histogram(
                 "serve_stage_seconds", model=self.name, stage=stage
+            )
+        return hist
+
+    def nested_histogram(self, stage: str) -> Histogram:
+        """``serve_nested_stage_seconds{model=...,stage=...}``, cached per stage."""
+        hist = self._nested_hists.get(stage)
+        if hist is None:
+            hist = self._nested_hists[stage] = self.server.metrics.histogram(
+                "serve_nested_stage_seconds", model=self.name, stage=stage
             )
         return hist
 
@@ -1320,10 +1324,15 @@ class AsyncServingServer:
         stages = {"admission": admission_s}
         if handle.stage_s:
             stages.update(handle.stage_s)
-        return {
+        trace = {
             "stages": {name: round(secs, 6) for name, secs in stages.items()},
             "total_s": round(self._loop.time() - started_at, 6),
         }
+        if handle.nested_s:
+            trace["nested"] = {
+                name: round(secs, 6) for name, secs in handle.nested_s.items()
+            }
+        return trace
 
     def _record_admission(self, worker: _ModelWorker, admission_s: float) -> None:
         if self.instrument:
@@ -1441,6 +1450,8 @@ class AsyncServingServer:
         except ValueError as error:
             raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
         self._admit(1)
+        # Admission ends where queue_wait starts, so the stages never overlap.
+        admission_s = self._loop.time() - handler_started
         try:
             future = worker.submit(request)
         except ValueError as error:  # e.g. wrong window length
@@ -1449,7 +1460,6 @@ class AsyncServingServer:
         except BaseException:  # never queued (e.g. racing shutdown)
             self.accepted -= 1
             raise
-        admission_s = self._loop.time() - handler_started
         self._record_admission(worker, admission_s)
         handle = await future
         payload = self._handle_payload(handle, wire_dtype)
@@ -1475,6 +1485,9 @@ class AsyncServingServer:
             for request in requests:
                 request.deadline = deadline
         self._admit(len(requests))
+        # One admission measurement covers the whole frame; it ends where the
+        # first row's queue_wait starts, so the stages never overlap.
+        admission_s = self._loop.time() - handler_started
         futures = []
         try:
             for request in requests:
@@ -1484,8 +1497,6 @@ class AsyncServingServer:
             # shutdown); already-submitted handles resolve on their own.
             self.accepted -= len(requests) - len(futures)
             raise
-        # One admission measurement covers the whole frame's submits.
-        admission_s = self._loop.time() - handler_started
         self._record_admission(worker, admission_s)
         handles = await asyncio.gather(*futures)
         agents = {}

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import importlib
 import json
 import os
@@ -434,6 +435,8 @@ class _WorkerProcess:
     ) -> None:
         self.chunk_timeout = chunk_timeout
         self._req_id = 0
+        #: The blocking socket carries one :meth:`call` at a time.
+        self._call_lock = threading.Lock()
         #: The event loop's ``(reader, writer)`` on this connection and the
         #: loop that owns it; opened by the first :meth:`call_async`.
         self._stream: tuple[asyncio.StreamReader, asyncio.StreamWriter] | None = None
@@ -515,14 +518,15 @@ class _WorkerProcess:
 
     def call(self, op: str, **fields) -> dict:
         """One request/response round trip on the persistent connection."""
-        req_id, frame = self._request(op, fields)
-        try:
-            self.sock.sendall(frame)
-            response = protocol.read_frame_sync(self.sock)
-        except socket.timeout as error:
-            raise self._stalled(op) from error
-        except (OSError, protocol.ProtocolError) as error:
-            raise self._broken(op, error) from error
+        with self._call_lock:
+            req_id, frame = self._request(op, fields)
+            try:
+                self.sock.sendall(frame)
+                response = protocol.read_frame_sync(self.sock)
+            except socket.timeout as error:
+                raise self._stalled(op) from error
+            except (OSError, protocol.ProtocolError) as error:
+                raise self._broken(op, error) from error
         return self._result(op, req_id, response)
 
     async def call_async(self, op: str, **fields) -> dict:
@@ -586,7 +590,7 @@ class _WorkerProcess:
             pass  # the loop is closed: nothing left to close the stream on
 
     def abort(self) -> None:
-        """Kill the child from the event loop without waiting for the reap.
+        """Kill the child without waiting for the reap (any thread).
 
         The supervisor thread is already waiting on the child; it reaps it,
         closes the original socket and respawns.
@@ -738,25 +742,14 @@ class WorkerPredictor:
     def predict_world(self, batch, num_samples, rng) -> np.ndarray:
         """Run one collated chunk in the worker; world-frame samples back.
 
-        The blocking form, for callers off the event loop.  The internal
-        lock covers supervisor respawns — a call never interleaves with a
-        connection swap.
+        The blocking form, for callers off the event loop (offline tools);
+        the server awaits :meth:`predict_world_async`.  Both go through
+        :meth:`_chunk_exchange`, so a transport failure retires the child
+        the same way.
         """
         fields = self._chunk_fields(batch, num_samples, rng)
-        with self._lock:
-            proc = self._live_proc()
-            try:
-                result = proc.call("worker_chunk", **fields)
-            except (WorkerCrashedError, WorkerStallError):
-                # Transport-level failure: kill the child (a stalled one is
-                # still holding the CPU) and let the supervisor respawn.
-                self.failures += 1
-                self._proc = None
-                proc.kill()
-                raise
-            except protocol.RemoteServingError:
-                self.failures += 1
-                raise
+        with self._chunk_exchange() as proc:
+            result = proc.call("worker_chunk", **fields)
         return self._chunk_result(result, batch, num_samples)[0]
 
     async def predict_world_async(
@@ -767,16 +760,28 @@ class WorkerPredictor:
         The server's path for a worker slot: the loop writes the chunk frame
         and awaits the reply, so no thread blocks on the socket.  Returns
         ``(samples, compute_s)``, where ``compute_s`` is the child's own
-        forward time.  A stall or a broken connection kills the child
-        without waiting for the reap; the supervisor thread reaps it and
-        respawns.  Never mix with :meth:`predict_world` on one slot: both
-        speak on its one connection.
+        forward time.  Never mix with :meth:`predict_world` on one slot:
+        both speak on its one connection.
         """
         fields = self._chunk_fields(batch, num_samples, rng)
+        with self._chunk_exchange() as proc:
+            result = await proc.call_async("worker_chunk", **fields)
+        return self._chunk_result(result, batch, num_samples)
+
+    @contextlib.contextmanager
+    def _chunk_exchange(self):
+        """The live child for one chunk; a transport failure retires it.
+
+        A crash or stall kills the child without waiting for the reap (a
+        stalled one still holds the CPU): the supervisor thread, already
+        waiting on it, reaps and respawns.  A typed worker-side error keeps
+        the child.  The lock is held only to read the current child, so a
+        respawn never waits on a chunk.
+        """
         with self._lock:
             proc = self._live_proc()
         try:
-            result = await proc.call_async("worker_chunk", **fields)
+            yield proc
         except (WorkerCrashedError, WorkerStallError):
             self.failures += 1
             with self._lock:
@@ -787,7 +792,6 @@ class WorkerPredictor:
         except protocol.RemoteServingError:
             self.failures += 1
             raise
-        return self._chunk_result(result, batch, num_samples)
 
     def _live_proc(self) -> _WorkerProcess:
         """The current child (call under ``self._lock``); raises when down."""

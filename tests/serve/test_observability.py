@@ -18,6 +18,7 @@ from repro.serve import (
     RemoteServingError,
     ServerThread,
     ServingClient,
+    WorkerSpec,
 )
 from repro.serve import protocol
 
@@ -105,6 +106,29 @@ class TestTraceMeta:
         samples, meta = agents["a"]
         assert samples.shape == (1, 12, 2)
         assert_valid_trace(meta["trace"])
+
+    @pytest.mark.server_config(
+        predictor=WorkerSpec(
+            factory="repro.serve.workers:seeded_predictor", kwargs={"seed": 0}
+        )
+    )
+    def test_worker_slot_trace_nests_compute_outside_the_stages(self, running):
+        """A worker slot's ``compute`` lies inside its ``inference``: it is
+        reported apart from the stages, in the trace and in the histograms,
+        so the stages still decompose the total."""
+        _, host, port, _ = running
+        with ServingClient.connect(host, port, binary=True) as client:
+            for seed in range(3):
+                _, meta = client.predict(MODEL, make_obs(seed), trace=True)
+                trace = meta["trace"]
+                assert_valid_trace(trace)
+                assert set(trace["nested"]) == {"compute"}
+                assert 0 < trace["nested"]["compute"] <= trace["stages"]["inference"]
+            histograms = client.metrics()["metrics"]["histograms"]
+        stage_keys = [k for k in histograms if k.startswith("serve_stage_seconds")]
+        assert stage_keys and not any("stage=compute" in k for k in stage_keys)
+        nested = f"serve_nested_stage_seconds{{model={MODEL},stage=compute}}"
+        assert histograms[nested]["count"] == 3
 
     def test_untraced_request_carries_no_trace(self, running):
         _, host, port, _ = running

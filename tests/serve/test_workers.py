@@ -15,6 +15,7 @@ child so service recovers without operator action.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import sys
@@ -205,26 +206,49 @@ class TestWorkerPredictor:
 # ----------------------------------------------------------------------
 # Crash / stall supervision (dedicated workers — these kill children)
 # ----------------------------------------------------------------------
+def run_on_loop(predictor: WorkerPredictor, scenario) -> None:
+    """Await ``scenario()`` on one event loop, as the server awaits chunks,
+    then close the slot there so the loop closes its stream itself."""
+
+    async def main() -> None:
+        try:
+            await scenario()
+        finally:
+            predictor.close()
+            await asyncio.sleep(0.01)
+
+    asyncio.run(main())
+
+
 class TestCrashAndRespawn:
+    """The slot's failure handling, through the awaited exchange the server
+    runs: a crash or stall fails the chunk typed, the child is killed
+    without waiting for the reap, and the supervisor respawns it."""
+
     def test_sigkill_raises_typed_error_then_supervisor_respawns(self):
         predictor = WorkerPredictor(
             WorkerSpec(factory=SEEDED, kwargs={"seed": 0}), label="t[kill]", **FAST
         )
-        try:
-            batch = make_batch(2)
-            before = predictor.predict_world(batch, 4, np.random.default_rng(5))
+        batch = make_batch(2)
+
+        async def scenario() -> None:
+            before, _ = await predictor.predict_world_async(
+                batch, 4, np.random.default_rng(5)
+            )
             first_pid = predictor.pid
             os.kill(first_pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashedError):
-                predictor.predict_world(batch, 4, np.random.default_rng(5))
+                await predictor.predict_world_async(batch, 4, np.random.default_rng(5))
             assert wait_until(lambda: predictor.alive), "supervisor never respawned"
             assert predictor.respawns >= 1
             assert predictor.pid != first_pid
             # Replay invariant across the respawn: same state, same samples.
-            after = predictor.predict_world(batch, 4, np.random.default_rng(5))
+            after, _ = await predictor.predict_world_async(
+                batch, 4, np.random.default_rng(5)
+            )
             np.testing.assert_array_equal(after, before)
-        finally:
-            predictor.close()
+
+        run_on_loop(predictor, scenario)
 
     def test_stall_raises_worker_stall_error_and_respawns(self):
         # Rule fires on the second predict call only; the respawned child
@@ -237,16 +261,22 @@ class TestCrashAndRespawn:
             label="t[stall]",
             chunk_timeout=2.0,
         )
-        try:
-            batch = make_batch(2)
-            ok = predictor.predict_world(batch, 3, np.random.default_rng(1))
+        batch = make_batch(2)
+
+        async def scenario() -> None:
+            ok, _ = await predictor.predict_world_async(batch, 3, np.random.default_rng(1))
+            stalled = predictor._proc.proc
             with pytest.raises(WorkerStallError):
-                predictor.predict_world(batch, 3, np.random.default_rng(1))
+                await predictor.predict_world_async(batch, 3, np.random.default_rng(1))
+            # Killed, not left holding the CPU for the rest of its stall.
+            assert stalled.wait(timeout=10) == -signal.SIGKILL
             assert wait_until(lambda: predictor.alive), "supervisor never respawned"
-            again = predictor.predict_world(batch, 3, np.random.default_rng(1))
+            again, _ = await predictor.predict_world_async(
+                batch, 3, np.random.default_rng(1)
+            )
             np.testing.assert_array_equal(again, ok)
-        finally:
-            predictor.close()
+
+        run_on_loop(predictor, scenario)
 
     def test_deterministic_crash_fault_exits_with_crash_code(self):
         rules = [dict(site="predict", kind="crash", after=0, count=1, rate=1.0)]
@@ -255,12 +285,35 @@ class TestCrashAndRespawn:
             label="t[crash]",
             **FAST,
         )
-        try:
-            proc = predictor._proc.proc
+        proc = predictor._proc.proc
+
+        async def scenario() -> None:
             with pytest.raises(WorkerCrashedError):
-                predictor.predict_world(make_batch(2), 3, np.random.default_rng(0))
+                await predictor.predict_world_async(
+                    make_batch(2), 3, np.random.default_rng(0)
+                )
             assert proc.wait(timeout=10) == CRASH_EXIT_CODE
             assert wait_until(lambda: predictor.alive)
+
+        run_on_loop(predictor, scenario)
+
+    def test_blocking_form_retires_a_dead_child_the_same_way(self):
+        """``predict_world`` (for callers off the loop) shares the failure
+        handling: a typed error, then a respawned child."""
+        predictor = WorkerPredictor(
+            WorkerSpec(factory=SEEDED, kwargs={"seed": 0}), label="t[sync]", **FAST
+        )
+        try:
+            batch = make_batch(2)
+            before = predictor.predict_world(batch, 4, np.random.default_rng(5))
+            first_pid = predictor.pid
+            os.kill(first_pid, signal.SIGKILL)
+            with pytest.raises(WorkerCrashedError):
+                predictor.predict_world(batch, 4, np.random.default_rng(5))
+            assert wait_until(lambda: predictor.alive), "supervisor never respawned"
+            assert predictor.pid != first_pid
+            after = predictor.predict_world(batch, 4, np.random.default_rng(5))
+            np.testing.assert_array_equal(after, before)
         finally:
             predictor.close()
 
@@ -273,6 +326,10 @@ class TestCrashAndRespawn:
         predictor.close()
         assert predictor.closed and not predictor.alive
         assert wait_until(lambda: not _pid_alive(pid), timeout=10)
+        with pytest.raises(WorkerCrashedError, match="closed"):
+            asyncio.run(
+                predictor.predict_world_async(make_batch(1), 2, np.random.default_rng(0))
+            )
         with pytest.raises(WorkerCrashedError, match="closed"):
             predictor.predict_world(make_batch(1), 2, np.random.default_rng(0))
 
@@ -532,9 +589,9 @@ class TestLoopExchange:
         assert sum(r["chunks"] for r in stats["models"]["m"]["replicas"]) == 6
         assert stats["server"]["cpu_ms_per_row"] > 0
         for _, _, meta in records:
-            stages = meta["trace"]["stages"]
+            trace = meta["trace"]
             # The child's forward is nested inside the exchange.
-            assert 0 < stages["compute"] <= stages["inference"]
+            assert 0 < trace["nested"]["compute"] <= trace["stages"]["inference"]
         replay_offline(records, seed=7, num_samples=4, reference=reference)
 
     def test_parent_side_latency_rule_delays_only_that_chunk(self):
