@@ -10,11 +10,12 @@ The inference-side counterpart to the training stack, in two layers:
   live point streams, and the composed :class:`ServingEngine`.
 * **Network** — :class:`AsyncServingServer`, an asyncio TCP front-end
   speaking a length-prefixed JSON/binary protocol (:mod:`repro.serve.protocol`)
-  with admission control and externally-driven batching.  A model runs on
-  one in-process :class:`Predictor`, or on N supervised child processes
-  (:class:`WorkerPool`/:class:`WorkerPredictor`, :mod:`repro.serve.workers`)
-  that escape the GIL behind a least-in-flight :class:`Router` while
-  keeping the replay invariant — plus the blocking :class:`ServingClient`
+  with admission control and one queue per model, the only place work
+  waits.  A model runs on one in-process :class:`Predictor`, or on N
+  supervised child processes (:class:`WorkerPool`/:class:`WorkerPredictor`,
+  :mod:`repro.serve.workers`) that escape the GIL, each taking one chunk
+  at a time from a :class:`Router`'s free slots, while keeping the replay
+  invariant — plus the blocking :class:`ServingClient`
   with :class:`RetryPolicy` backoff and a binary payload mode.
 
 Serving invariants (see ``docs/architecture.md`` and ``docs/serving.md``):

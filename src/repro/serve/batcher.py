@@ -2,15 +2,15 @@
 
 Online consumers submit one agent's observation window at a time; running the
 model per request would pay the full Python/numpy dispatch overhead per
-agent.  The :class:`MicroBatcher` queues requests and flushes them as one
-padded :class:`~repro.data.dataset.Batch` through the vectorized model hot
-path under two standard policies:
+agent.  The :class:`MicroBatcher` queues requests and hands them out as
+padded :class:`~repro.data.dataset.Batch` chunks for the vectorized model hot
+path.  A chunk is *due* under two standard policies:
 
-* **max batch size** — a flush happens as soon as ``max_batch_size`` requests
-  are pending (latency never waits on a full batch longer than necessary);
-* **max wait** — ``poll()`` flushes a partial batch once the oldest pending
-  request has waited ``max_wait`` seconds (bounded tail latency under low
-  traffic).
+* **max batch size** — a full ``max_batch_size`` chunk is due at once
+  (latency never waits on a full batch longer than necessary);
+* **max wait** — a partial batch is due once its oldest request has waited
+  ``max_wait`` seconds (bounded tail latency under low traffic), or as soon
+  as :meth:`MicroBatcher.release` lets it go.
 
 Collation mirrors :meth:`repro.data.dataset.TrajectoryDataset.collate`
 bit-for-bit — origin translation to the focal agent's last observed position,
@@ -18,14 +18,15 @@ zero-padded neighbour slots with a boolean mask, nearest-first truncation —
 so a coalesced serving batch is numerically identical to the offline
 evaluation batch built from the same windows.
 
-The batcher also supports **externally-driven flushes** for the async
-network front-end (:mod:`repro.serve.server`): with ``auto_flush=False`` an
-event-loop scheduler pops due work with :meth:`MicroBatcher.take_ready` and
-executes it on a worker thread with :meth:`MicroBatcher.run_chunk` (or, for a
-worker-process slot, awaits the forward between its two halves
-:meth:`MicroBatcher.prepare_chunk` and :meth:`MicroBatcher.complete_chunk`), and
+The queue is the only place work waits, and there is one way to run it:
+:meth:`MicroBatcher.submit` only queues, :meth:`MicroBatcher.take_ready` pops
+due chunks and :meth:`MicroBatcher.run_chunk` runs one (a worker-process slot
+awaits the forward between its two halves :meth:`MicroBatcher.prepare_chunk`
+and :meth:`MicroBatcher.complete_chunk`).  The async network front-end
+(:mod:`repro.serve.server`) pops one chunk per free slot;
+:meth:`MicroBatcher.flush` runs everything queued on the calling thread.
 :meth:`MicroBatcher.shutdown` terminates every pending request with a
-:class:`ServingClosedError` instead of leaving pollers hanging.  See
+:class:`ServingClosedError` instead of leaving waiters hanging.  See
 ``docs/serving.md`` for the full batching and backpressure semantics.
 """
 
@@ -69,12 +70,12 @@ class DeadlineExceededError(RuntimeError):
     """Terminal error of a request whose deadline expired before inference.
 
     A :class:`PredictRequest` may carry an absolute ``deadline`` (batcher
-    clock).  Expired requests are swept out *before* the model runs — at pop
-    time (:meth:`MicroBatcher.expire_pending`), and again at chunk execution
-    (:meth:`MicroBatcher.expire_chunk`, which also runs inside
-    :meth:`MicroBatcher.run_chunk` after the replica-lock/executor wait) — so
-    the server never computes answers nobody is waiting for.  On the wire
-    this maps to the typed ``deadline_exceeded`` response.
+    clock).  Expired requests are swept out *before* the model runs — while
+    queued (:meth:`MicroBatcher.expire_pending`), and again when their chunk
+    runs (:meth:`MicroBatcher.expire_chunk`, inside
+    :meth:`MicroBatcher.prepare_chunk`, after an in-process slot's executor
+    hop) — so the server never computes answers nobody is waiting for.  On
+    the wire this maps to the typed ``deadline_exceeded`` response.
     """
 
 
@@ -131,8 +132,8 @@ class PendingPrediction:
 
     A handle resolves exactly once, either with world-frame samples
     (:meth:`result`) or with a terminal error (``error``) — e.g. a failed
-    externally-driven flush, or batcher shutdown.  ``done`` is True in both
-    cases, so pollers never hang on a request that can no longer complete.
+    forward, or batcher shutdown.  ``done`` is True in both cases, so
+    pollers never hang on a request that can no longer complete.
     """
 
     __slots__ = (
@@ -203,7 +204,7 @@ class PendingPrediction:
         if self._samples is None:
             raise RuntimeError(
                 "prediction not ready; the request is still waiting to be "
-                "coalesced (call poll()/flush() on the batcher)"
+                "coalesced (call flush() on the batcher)"
             )
         return self._samples
 
@@ -305,7 +306,7 @@ def batch_from_wire(fields: dict) -> Batch:
 
 @dataclass
 class FlushChunk:
-    """One popped batch of pending requests, ready for an external flush.
+    """One popped batch of pending requests, ready for :meth:`MicroBatcher.run_chunk`.
 
     ``batch_id`` is assigned under the batcher lock, in pop order, and is the
     key of the per-flush RNG derivation when ``seed_per_flush`` is set — so a
@@ -316,9 +317,9 @@ class FlushChunk:
     batch_id: int
     handles: list[PendingPrediction] = field(default_factory=list)
     #: When the scheduler dispatched this chunk (batcher clock).  Set by the
-    #: async server before hand-off; ``prepare_chunk`` turns it into the
-    #: ``route`` stage (scheduling + slot-lock wait, plus the executor hop
-    #: of an in-process slot).
+    #: async server as it hands the chunk to a free slot; ``prepare_chunk``
+    #: turns it into the ``route`` stage (task start-up, plus the executor
+    #: hop of an in-process slot).
     scheduled_at: float | None = None
 
     @property
@@ -329,16 +330,12 @@ class FlushChunk:
 class MicroBatcher:
     """Coalesce concurrent prediction requests into padded model batches.
 
-    Two flush modes share the same queue and collation path:
-
-    * **caller-driven** (the default, ``auto_flush=True``): ``submit`` flushes
-      inline the moment a full batch is pending, and ``poll``/``flush`` run
-      partial batches on the calling thread — the synchronous in-process mode
-      :class:`~repro.serve.engine.ServingEngine` uses.
-    * **externally-driven** (``auto_flush=False``): ``submit`` only queues;
-      an external scheduler (the async serving front-end's flush loop) pops
-      work with :meth:`take_ready` and executes it with :meth:`run_chunk` on
-      a worker thread, keeping model forwards off the event loop.
+    ``submit`` only queues.  A consumer pops due work with :meth:`take_ready`
+    and runs each chunk with :meth:`run_chunk` — the async serving front-end
+    pops one chunk per free slot and keeps model forwards off its event
+    loop — or calls :meth:`flush`, which releases everything queued and runs
+    it on the calling thread, as the synchronous
+    :class:`~repro.serve.engine.ServingEngine` does.
 
     Parameters
     ----------
@@ -346,10 +343,11 @@ class MicroBatcher:
     num_samples : futures sampled per request (best-of-K serving).  Fixed per
         batcher, not per request — every row of a coalesced batch shares one
         ``[K, B, ...]`` forward.
-    max_batch_size : flush as soon as this many requests are pending.
-    max_wait : seconds a request may wait before ``poll``/``take_ready``
-        releases a partial batch; ``0`` means partial batches are released
-        whenever asked (lowest latency, coalescing only under backpressure).
+    max_batch_size : rows per chunk; a full chunk is due at once.
+    max_wait : seconds a partial batch's oldest request waits before
+        ``take_ready`` pops it (unless :meth:`release` lets it go earlier);
+        ``0`` means partial batches pop whenever asked (lowest latency,
+        coalescing only under backpressure).
     max_neighbours : cap on padded neighbour slots (None = batch maximum).
     rng : seed or generator for the sampling noise (one stream across
         flushes, so a fixed seed makes a serving session reproducible).
@@ -359,7 +357,6 @@ class MicroBatcher:
         equivalence gate in ``benchmarks/bench_server.py`` recomputes served
         batches offline from ``(seed, batch_id)`` — and safe to execute out
         of order across worker threads.
-    auto_flush : disable to run the batcher in externally-driven mode.
     clock : monotonic time source; injectable for tests.
     """
 
@@ -372,7 +369,6 @@ class MicroBatcher:
         max_neighbours: int | None = None,
         rng: np.random.Generator | int | None = 0,
         seed_per_flush: int | None = None,
-        auto_flush: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch_size < 1:
@@ -388,10 +384,11 @@ class MicroBatcher:
         self.max_neighbours = max_neighbours
         self.rng = new_rng(rng)
         self.seed_per_flush = seed_per_flush
-        self.auto_flush = auto_flush
         self.clock = clock
         self._lock = threading.Lock()
         self._pending: list[PendingPrediction] = []
+        #: Requests queued at or before this time are due (:meth:`release`).
+        self._released_at = float("-inf")
         self._closed = False
         self._next_batch_id = 0
         # Observability counters.
@@ -424,13 +421,11 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def submit(self, request: PredictRequest) -> PendingPrediction:
-        """Queue one request; flushes immediately when a full batch is ready.
+        """Queue one request; it runs once a consumer pops its chunk.
 
         Window length is validated here, against the predictor, so a
         malformed request fails in its own caller instead of poisoning the
-        batch it would later be coalesced into.  In externally-driven mode
-        (``auto_flush=False``) the request is only queued; the scheduler pops
-        it via :meth:`take_ready`.
+        batch it would later be coalesced into.
         """
         expected = getattr(self.predictor, "obs_len", None)
         if expected is not None and request.obs.shape[0] != expected:
@@ -444,66 +439,61 @@ class MicroBatcher:
             handle = PendingPrediction(request, self.clock())
             self._pending.append(handle)
             self.total_requests += 1
-            if self.auto_flush and len(self._pending) >= self.max_batch_size:
-                self._flush_locked(self.max_batch_size)
         return handle
 
-    def poll(self, now: float | None = None) -> list[PendingPrediction]:
-        """Flush partial batches whose oldest request exceeded ``max_wait``."""
-        self.expire_pending(now)
+    def release(self) -> int:
+        """Make everything queued due now, whatever ``max_wait`` says.
+
+        Returns how many requests that is.  Requests submitted later wait
+        out ``max_wait`` as usual.
+        """
         with self._lock:
-            if not self._pending:
-                return []
-            now = self.clock() if now is None else now
-            if now - self._pending[0].enqueued_at < self.max_wait:
-                return []
-            return self._flush_locked(self.max_batch_size)
+            self._released_at = self.clock()
+            return len(self._pending)
 
     def flush(self) -> list[PendingPrediction]:
-        """Run every pending request now (in ``max_batch_size`` chunks)."""
-        with self._lock:
-            completed: list[PendingPrediction] = []
-            while self._pending:
-                completed.extend(self._flush_locked(self.max_batch_size))
-            return completed
+        """Release everything queued and run it here, one chunk at a time.
 
-    # ------------------------------------------------------------------
-    # Externally-driven flushes (async front-end)
-    # ------------------------------------------------------------------
+        Returns every handle popped; each holds samples or a deadline error.
+        A failed forward fails its own chunk's handles and propagates, as on
+        the server; the requests behind it stay queued for a later flush or
+        for :meth:`shutdown`.  Popping one chunk at a time is what keeps them
+        there: a chunk popped and never run would strand its handles.
+        """
+        self.release()
+        popped: list[PendingPrediction] = []
+        while chunks := self.take_ready(limit=1):
+            popped.extend(chunks[0].handles)
+            self.run_chunk(chunks[0])
+        return popped
+
     def take_ready(
-        self,
-        now: float | None = None,
-        *,
-        allow_partial: bool = True,
-        force: bool = False,
+        self, now: float | None = None, *, limit: int | None = None
     ) -> list[FlushChunk]:
-        """Pop due work as :class:`FlushChunk` s without running it.
+        """Pop at most ``limit`` due chunks (None: every one) without running them.
 
-        Always pops every *full* ``max_batch_size`` chunk.  The remainder is
-        popped too when ``force`` is set, or when ``allow_partial`` and the
-        oldest remaining request has waited ``max_wait`` (with
-        ``max_wait=0``: always).  The async server passes
-        ``allow_partial=False`` while a flush for this model is already in
-        progress, so backpressure converts queued singles into one coalesced
-        batch instead of a convoy of tiny ones.
+        A full ``max_batch_size`` chunk is always due; the partial remainder
+        is due once its oldest request has waited ``max_wait`` (with
+        ``max_wait=0``: always) or was queued before the last
+        :meth:`release`.  Chunks pop in queue order, so a backlog that waits
+        for a free slot pops as one coalesced batch, not a convoy of singles.
         """
         with self._lock:
             chunks: list[FlushChunk] = []
-            while len(self._pending) >= self.max_batch_size:
-                chunks.append(self._pop_chunk_locked(self.max_batch_size))
-            if self._pending and (force or allow_partial):
-                now = self.clock() if now is None else now
-                waited = now - self._pending[0].enqueued_at
-                if force or waited >= self.max_wait:
-                    chunks.append(self._pop_chunk_locked(len(self._pending)))
+            while self._pending and (limit is None or len(chunks) < limit):
+                if len(self._pending) < self.max_batch_size:
+                    now = self.clock() if now is None else now
+                    if now < self._due_at_locked():
+                        break
+                chunks.append(self._pop_chunk_locked())
             return chunks
 
     def next_due(self, *, allow_partial: bool) -> float | None:
         """The earliest time (batcher clock) a drain could pop or expire work.
 
         That is the earliest queued deadline and, when ``allow_partial``, the
-        oldest request's ``enqueued_at + max_wait`` — the two moments only
-        time (not a submit or a finished chunk) changes what
+        moment the partial batch becomes due — the two moments only time
+        (not a submit or a finished chunk) changes what
         :meth:`expire_pending` and :meth:`take_ready` do.  None when nothing
         queued is waiting on the clock.
         """
@@ -516,7 +506,7 @@ class MicroBatcher:
                 if h.request.deadline is not None
             ]
             if allow_partial:
-                due.append(self._pending[0].enqueued_at + self.max_wait)
+                due.append(self._due_at_locked())
         return min(due, default=None)
 
     # ------------------------------------------------------------------
@@ -537,8 +527,7 @@ class MicroBatcher:
         *before* it could be coalesced — the answer the caller is still
         around to see.  The async server calls this on every drain and arms
         a timer for the earliest queued deadline (:meth:`next_due`), so a
-        request queued behind busy replicas is answered at its deadline;
-        :meth:`poll` calls it for the in-process mode.
+        request queued behind busy slots is answered at its deadline.
         """
         with self._lock:
             if not self._pending:
@@ -568,11 +557,11 @@ class MicroBatcher:
     ) -> list[PendingPrediction]:
         """Drop expired handles out of a popped chunk; returns the expired.
 
-        Safe to call repeatedly (the async server sweeps once on the event
-        loop for a fast typed answer; :meth:`run_chunk` sweeps again after
-        the replica-lock/executor wait, so a stalled replica can never smuggle
-        an expired request into inference).  The chunk's remaining handles
-        collate as the batch actually executed.
+        :meth:`prepare_chunk` calls it, so the time a popped chunk spends
+        reaching its slot (an in-process slot's executor hop) counts against
+        its requests' budgets and an expired row never reaches inference.
+        Safe to call repeatedly.  The chunk's remaining handles collate as
+        the batch actually executed.
         """
         now = self.clock() if now is None else now
         expired = [
@@ -590,33 +579,11 @@ class MicroBatcher:
             self.total_failed += len(expired)
         return expired
 
-    def requeue(self, chunk: FlushChunk) -> None:
-        """Put a popped-but-unrunnable chunk back at the head of the queue.
-
-        Used by the async server when every routable replica is a half-open
-        breaker already running its probe: the work waits for the probe's
-        verdict instead of failing or convoying onto a broken replica.  The
-        popped ``batch_id`` is consumed either way — per-flush RNG derivation
-        never reuses a stream.  On a closed batcher the handles get the
-        terminal :class:`ServingClosedError` instead of re-entering a queue
-        nobody will ever drain.
-        """
-        with self._lock:
-            if not self._closed:
-                self._pending[:0] = chunk.handles
-                return
-        error = ServingClosedError("batcher shut down while requeueing")
-        for handle in chunk.handles:
-            handle._set_error(error)
-        with self._lock:
-            self.total_failed += len(chunk.handles)
-
     def fail_chunk(self, chunk: FlushChunk, error: BaseException) -> None:
         """Terminally fail every handle of a chunk with ``error``.
 
-        The typed fast-fail path: when no replica can take the chunk (all
-        circuit breakers open), the scheduler answers with ``unavailable``
-        instead of queueing into a dead pool.
+        What a failed collation or forward does: a poisoned chunk is never
+        requeued, so it cannot retry forever.
         """
         for handle in chunk.handles:
             handle._set_error(error)
@@ -634,11 +601,9 @@ class MicroBatcher:
         the server runs chunks from one shared queue on whichever slot the
         router picked; slots are numerically identical, so the per-flush RNG
         derivation keeps the result (and its offline replay) independent of
-        the choice.  On failure every handle
-        in the chunk gets the exception as its *terminal* error —
-        externally-driven flushes never requeue, a poisoned batch must not
-        retry forever — and the exception propagates so the scheduler can
-        log it.
+        the choice.  On failure every handle in the chunk gets the exception
+        as its *terminal* error (:meth:`fail_chunk`) and the exception
+        propagates, so the caller can log it.
 
         The two halves, :meth:`prepare_chunk` and :meth:`complete_chunk`,
         are public so a caller that awaits the forward instead of calling
@@ -669,20 +634,28 @@ class MicroBatcher:
         expired.  A collation failure fails the chunk's handles and
         propagates, like a failed forward.
         """
-        # Last-chance deadline sweep: time spent waiting for the replica
-        # lock / executor slot counts against the request's budget, and an
-        # expired row must never reach inference.
+        # Last-chance deadline sweep: an in-process slot's executor hop
+        # counts against the request's budget, and an expired row must
+        # never reach inference.
         self.expire_chunk(chunk)
         if not chunk.handles:
             return None
         stage: dict[str, float] = {}
         if chunk.scheduled_at is not None:
             stage["route"] = self.clock() - chunk.scheduled_at
+        predictor = self.predictor if predictor is None else predictor
+        started = self.clock()
         try:
-            batch, rng = self._coalesce(chunk, predictor, stage)
+            batch = collate_requests(
+                [h.request for h in chunk.handles],
+                pred_len=predictor.pred_len,
+                max_neighbours=self.max_neighbours,
+            )
         except BaseException as error:
             self.fail_chunk(chunk, error)
             raise
+        rng = self._flush_rng(chunk.batch_id)
+        stage["coalesce"] = self.clock() - started
         return batch, rng, stage
 
     def complete_chunk(
@@ -694,10 +667,20 @@ class MicroBatcher:
     ) -> list[PendingPrediction]:
         """Second half of :meth:`run_chunk`: fulfil every handle of the chunk.
 
+        Each handle gets its row of ``samples``, its replay meta and its
+        stages: the chunk's ``stage`` plus its own ``queue_wait``.
         ``nested`` holds durations inside one of the ``stage`` entries; they
         reach each handle's ``nested_s``.
         """
-        self._fulfil(chunk, samples, stage, nested)
+        for row, handle in enumerate(chunk.handles):
+            handle.batch_id = chunk.batch_id
+            handle.batch_row = row
+            handle.batch_size = len(chunk.handles)
+            handle.stage_s = dict(stage)
+            if handle.popped_at is not None:
+                handle.stage_s["queue_wait"] = handle.popped_at - handle.enqueued_at
+            handle.nested_s = nested
+            handle._set_result(samples[:, row])
         with self._lock:
             self.total_batches += 1
             self.total_completed += len(chunk.handles)
@@ -725,8 +708,14 @@ class MicroBatcher:
         return len(orphaned)
 
     # ------------------------------------------------------------------
-    def _pop_chunk_locked(self, limit: int) -> FlushChunk:
-        handles, self._pending = self._pending[:limit], self._pending[limit:]
+    def _due_at_locked(self) -> float:
+        """When the queue's partial batch becomes due (batcher clock)."""
+        oldest = self._pending[0].enqueued_at
+        return oldest if oldest <= self._released_at else oldest + self.max_wait
+
+    def _pop_chunk_locked(self) -> FlushChunk:
+        size = self.max_batch_size
+        handles, self._pending = self._pending[:size], self._pending[size:]
         chunk = FlushChunk(batch_id=self._next_batch_id, handles=handles)
         self._next_batch_id += 1
         popped_at = self.clock()  # one read per chunk, shared by its handles
@@ -739,89 +728,3 @@ class MicroBatcher:
         if self.seed_per_flush is None:
             return self.rng
         return np.random.default_rng((self.seed_per_flush, batch_id))
-
-    @staticmethod
-    def _handle_stages(
-        handle: PendingPrediction, chunk_stage: dict[str, float]
-    ) -> dict[str, float]:
-        """One handle's lifecycle stages: shared chunk stages + queue wait."""
-        stages = dict(chunk_stage)
-        if handle.popped_at is not None:
-            stages["queue_wait"] = handle.popped_at - handle.enqueued_at
-        return stages
-
-    def _coalesce(
-        self,
-        chunk: FlushChunk,
-        predictor: Predictor | None,
-        stage: dict[str, float],
-    ) -> tuple[Batch, np.random.Generator]:
-        """The chunk's padded batch and noise stream; times ``coalesce``."""
-        predictor = self.predictor if predictor is None else predictor
-        started = self.clock()
-        batch = collate_requests(
-            [h.request for h in chunk.handles],
-            pred_len=predictor.pred_len,
-            max_neighbours=self.max_neighbours,
-        )
-        rng = self._flush_rng(chunk.batch_id)
-        stage["coalesce"] = self.clock() - started
-        return batch, rng
-
-    def _fulfil(
-        self,
-        chunk: FlushChunk,
-        samples: np.ndarray,
-        stage: dict[str, float],
-        nested: dict[str, float] | None = None,
-    ) -> None:
-        """Hand each handle its row of ``samples`` plus its replay meta."""
-        for row, handle in enumerate(chunk.handles):
-            handle.batch_id = chunk.batch_id
-            handle.batch_row = row
-            handle.batch_size = len(chunk.handles)
-            handle.stage_s = self._handle_stages(handle, stage)
-            handle.nested_s = nested
-            handle._set_result(samples[:, row])
-
-    def _flush_locked(self, limit: int) -> list[PendingPrediction]:
-        if not self._pending:
-            return []
-        chunk = self._pop_chunk_locked(limit)
-        # Inline deadline sweep (the lock is held — expire_chunk would
-        # deadlock): expired rows leave the chunk before collation.
-        now = self.clock()
-        expired = [
-            h
-            for h in chunk.handles
-            if h.request.deadline is not None and now >= h.request.deadline
-        ]
-        if expired:
-            chunk.handles = [h for h in chunk.handles if h not in expired]
-            for handle in expired:
-                handle._set_error(self._expired_error(handle, now))
-            self.total_expired += len(expired)
-            self.total_failed += len(expired)
-            if not chunk.handles:
-                return expired
-        stage: dict[str, float] = {}
-        try:
-            batch, rng = self._coalesce(chunk, None, stage)
-            started = self.clock()
-            # One padded batch through the vectorized hot path — never a
-            # Python loop over requests.
-            samples = self.predictor.predict_world(batch, self.num_samples, rng)
-            stage["inference"] = self.clock() - started
-        except BaseException:
-            # Don't lose the coalesced requests on a failed flush: put them
-            # back at the head of the queue so a later poll/flush retries.
-            # (The popped batch_id is consumed either way — per-flush RNG
-            # derivation never reuses a stream.)
-            self._pending[:0] = chunk.handles
-            raise
-        self._fulfil(chunk, samples, stage)
-        self.total_batches += 1
-        self.total_completed += len(chunk.handles)
-        # Expired handles are done too (terminal error): report everything
-        # this flush resolved, so pollers see every handle leave the queue.
-        return expired + chunk.handles

@@ -16,8 +16,7 @@ Outputs are in world coordinates (the normalization round trip from
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -36,11 +35,9 @@ class ServingEngine:
         predictor: Predictor,
         num_samples: int = 1,
         max_batch_size: int = 32,
-        max_wait: float = 0.0,
         max_neighbours: int | None = None,
         rng: np.random.Generator | int | None = 0,
         seed_per_flush: int | None = None,
-        clock: Callable[[], float] = time.monotonic,
         compile: bool | None = None,
     ) -> None:
         self.predictor = predictor
@@ -60,10 +57,8 @@ class ServingEngine:
             predictor,
             num_samples=num_samples,
             max_batch_size=max_batch_size,
-            max_wait=max_wait,
             rng=rng,
             seed_per_flush=seed_per_flush,
-            clock=clock,
         )
 
     # ------------------------------------------------------------------
@@ -87,8 +82,8 @@ class ServingEngine:
     def submit_ready(self, frame: int) -> list[PendingPrediction]:
         """Enqueue every agent whose window is complete at ``frame``.
 
-        Full batches flush inside ``submit``; stragglers stay queued until
-        the batcher's max-wait policy (``poll``) or an explicit ``flush``.
+        The requests only queue; :meth:`predict_ready` (or the batcher's
+        ``flush``) runs them.
         """
         return [self.batcher.submit(r) for r in self.windows.requests(frame)]
 

@@ -97,7 +97,6 @@ __all__ = [
     "read_frame_sync_ex",
     "request",
     "validate_request",
-    "write_frame",
     "write_frame_sync",
 ]
 
@@ -378,11 +377,6 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     except asyncio.IncompleteReadError as error:
         raise ProtocolError("connection closed mid-frame") from error
     return decode_payload(payload)
-
-
-def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
-    """Queue one frame on an asyncio stream (caller awaits ``drain``)."""
-    writer.write(encode_frame(message))
 
 
 def _recv_exactly(sock: socket.socket, length: int) -> bytes | None:

@@ -14,24 +14,25 @@ state, and the I/O of worker-process slots; model forwards never run on it:
   sites, and a per-request ``trace: true`` flag that returns stage timings
   in response ``meta`` — all additive; wire images and the replay
   invariant are untouched.  See ``docs/observability.md``.
-* **Batching** — each model gets a :class:`~repro.serve.batcher.MicroBatcher`
-  in externally-driven mode: requests from all connections coalesce in one
-  queue, and a drain after every submit and every finished chunk — plus one
-  timer armed for the next max-wait or deadline — pops due work with
-  ``take_ready``.  An in-process slot runs it via ``run_chunk`` on a bounded
-  :class:`~concurrent.futures.ThreadPoolExecutor`; a worker-process slot's
-  chunk is collated, exchanged with the child and fulfilled on the loop.
-  While every slot of a model is mid flush, partial batches are withheld,
-  so backpressure turns a convoy of single requests into genuinely
-  coalesced batches (adaptive batching).
+* **Batching** — each model gets one
+  :class:`~repro.serve.batcher.MicroBatcher`: requests from all connections
+  coalesce in its queue, the only place work waits.  A drain after every
+  submit and every finished chunk — plus one timer armed for the next
+  max-wait or deadline — pops one due chunk per free slot with
+  ``take_ready``.  An in-process slot runs it via ``run_chunk`` on a
+  bounded :class:`~concurrent.futures.ThreadPoolExecutor`; a worker-process
+  slot's chunk is collated, exchanged with the child and fulfilled on the
+  loop.  While every slot of a model is busy, work waits in the queue, so
+  backpressure turns a convoy of single requests into genuinely coalesced
+  batches (adaptive batching).
 * **Slots** — a model runs on one in-process :class:`Predictor`, or on N
   supervised worker-process slots (a :class:`~repro.serve.workers.WorkerSpec`
-  with ``workers=N``); a :class:`Router` assigns each popped flush chunk to
-  the least-in-flight slot, so flushes of one model overlap across
-  processes while each slot stays single-threaded.  The queue — and with it
-  ``batch_id`` assignment and the per-flush RNG derivation — stays *shared
-  per model*, so the offline replay invariant is untouched by which slot
-  ran a batch.
+  with ``workers=N``); a :class:`Router` lists the free slots, lowest index
+  first, and each runs one chunk at a time, so chunks of one model overlap
+  across processes while each slot stays single-threaded.  The queue — and
+  with it ``batch_id`` assignment and the per-flush RNG derivation — stays
+  *shared per model*, so the offline replay invariant is untouched by which
+  slot ran a batch.
 * **Admission control** — a configurable cap on in-flight predictions; work
   beyond it is fast-failed with an ``overloaded`` response instead of being
   queued without bound.  Queue depth, in-flight peaks, and per-model latency
@@ -103,10 +104,11 @@ class OverloadedError(RuntimeError):
 class UnavailableError(RuntimeError):
     """Every slot of a model has an open circuit breaker.
 
-    Answered as the typed ``unavailable`` fast-fail: work is refused at
-    admission (and any chunk caught mid-pop is failed the same way) instead
-    of queueing into a pool that cannot serve it.  Transient by design — a
-    half-open probe closes a breaker the moment the slot recovers.
+    Answered as the typed ``unavailable`` fast-fail: new work is refused at
+    admission instead of queueing into a pool that cannot serve it, while
+    work already queued waits for the half-open probe or its own deadline.
+    Transient by design — a half-open probe closes a breaker the moment the
+    slot recovers.
     """
 
 
@@ -119,8 +121,8 @@ class CircuitBreaker:
       error count; ``threshold`` consecutive failed chunks open the breaker.
     * ``open`` — the slot is skipped by the router.  After ``cooldown``
       seconds the next availability check moves to half-open.
-    * ``half_open`` — exactly one probe chunk is admitted (the router
-      enforces the single-probe limit).  Success closes the breaker;
+    * ``half_open`` — exactly one probe chunk is admitted (a slot takes a
+      chunk only with nothing in flight).  Success closes the breaker;
       failure re-opens it and restarts the cooldown.
 
     Failure here means the slot's *forward raised* — deadline expiry and
@@ -179,7 +181,7 @@ class CircuitBreaker:
             if now - self.opened_at < self.cooldown:
                 return False
             self.state = self.HALF_OPEN
-        return True  # half-open: probe admission is the router's job
+        return True  # half-open: the slot's one chunk in flight is the probe
 
     def snapshot(self) -> dict:
         """JSON-ready state for ``stats``."""
@@ -193,22 +195,20 @@ class CircuitBreaker:
 
 
 class _Replica:
-    """One slot of a model: its predictor, flush lock, and counters.
+    """One slot of a model: its predictor and counters.
 
-    ``active`` counts chunks routed here and not yet finished (scheduled or
-    running); it is both the router's load signal and, summed over slots,
-    the model's "busy" signal for adaptive batching.  ``tasks`` holds those
-    chunks' tasks, so a swap can await the last of them.  The asyncio lock
-    serializes flushes *per slot* — ``inference_mode`` training-flag
-    save/restore is per-module state, so one module tree must never run on
-    two threads, and a worker child answers one chunk at a time on its
-    connection — but distinct slots (and distinct models) overlap freely.
+    ``active`` counts chunks routed here and not yet finished: 0 or 1, since
+    the router hands a chunk only to a slot with nothing in flight.  That
+    keeps one chunk per slot — ``inference_mode`` training-flag save/restore
+    is per-module state, so one module tree must never run on two threads,
+    and a worker child answers one chunk at a time on its connection — while
+    distinct slots (and distinct models) overlap freely.  ``tasks`` holds
+    the in-flight chunk's task, so a swap can await it.
     """
 
     __slots__ = (
         "index",
         "predictor",
-        "lock",
         "active",
         "tasks",
         "chunks",
@@ -222,7 +222,6 @@ class _Replica:
     ) -> None:
         self.index = index
         self.predictor = predictor
-        self.lock = asyncio.Lock()
         self.active = 0
         self.tasks: set[asyncio.Task] = set()
         self.chunks = 0
@@ -232,18 +231,16 @@ class _Replica:
 
 
 class Router:
-    """Least-in-flight routing over a model's slots.
+    """Free-slot routing over a model's slots.
 
-    Picks the slot with the fewest active chunks (ties broken by lowest
-    index, so routing is deterministic given the load state).  Routing
-    never affects results: slots are numerically identical and every
-    chunk's noise derives from ``(seed, batch_id)`` alone, so the replay
-    invariant holds regardless of placement.
-
-    Circuit breakers gate admission per slot: an open breaker removes its
-    slot from the candidate set, and a half-open breaker admits exactly one
-    probe chunk at a time.  When no slot is admittable, :meth:`pick`
-    returns ``None``.
+    A slot is *free* when it has nothing in flight and its circuit breaker
+    lets work through; the drain hands each free slot one chunk, lowest
+    index first, so routing is deterministic given the load state.  A
+    half-open breaker's slot is free only until its probe starts, so it
+    never gets a second chunk before the verdict.  Routing never affects
+    results: slots are numerically identical and every chunk's noise
+    derives from ``(seed, batch_id)`` alone, so the replay invariant holds
+    regardless of placement.
     """
 
     def __init__(self, replicas: list[_Replica]) -> None:
@@ -251,22 +248,14 @@ class Router:
             raise ValueError("router needs at least one slot")
         self.replicas = list(replicas)
 
-    def _admittable(self, replica: _Replica, now: float) -> bool:
-        if not replica.breaker.available(now):
-            return False
-        if replica.breaker.state == CircuitBreaker.HALF_OPEN:
-            # One probe at a time: the probe's verdict decides the breaker,
-            # so piling work onto a half-open slot defeats the point.
-            return replica.active == 0
-        return True
-
-    def pick(self) -> _Replica | None:
-        """The slot the next chunk should run on (None: all gated)."""
+    def free(self) -> list[_Replica]:
+        """The slots that can start a chunk now, lowest index first."""
         now = time.monotonic()
-        candidates = [r for r in self.replicas if self._admittable(r, now)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda r: (r.active, r.index))
+        return [
+            replica
+            for replica in self.replicas
+            if replica.active == 0 and replica.breaker.available(now)
+        ]
 
     def any_available(self, now: float | None = None) -> bool:
         """True while at least one breaker would let work through eventually.
@@ -277,15 +266,6 @@ class Router:
         """
         now = time.monotonic() if now is None else now
         return any(replica.breaker.available(now) for replica in self.replicas)
-
-    @property
-    def idle(self) -> bool:
-        """True while at least one admittable slot has no work in flight."""
-        now = time.monotonic()
-        return any(
-            replica.active == 0 and self._admittable(replica, now)
-            for replica in self.replicas
-        )
 
 
 def _exchange(predictor):
@@ -323,8 +303,8 @@ class _ModelWorker:
     pool.  The batcher — queue, ``batch_id`` assignment, per-flush RNG
     derivation — is **one per model**, shared by all slots; only chunk
     *execution* fans out, so served batches replay offline identically no
-    matter which slot ran them.  Each slot's asyncio lock serializes its
-    flushes; slots (and different models) flush in parallel.
+    matter which slot ran them.  A slot runs one chunk at a time; slots (and
+    different models) run in parallel.
     """
 
     def __init__(
@@ -374,42 +354,51 @@ class _ModelWorker:
         return future
 
     def drain(self) -> None:
-        """Pop due work, schedule it on its slots, and re-arm the timer.
+        """Start one due chunk per free slot, and re-arm the timer.
 
-        Full batches always pop.  Partial batches pop only while some
-        replica is idle — under load the backlog accumulates behind the busy
-        replicas and pops as one coalesced batch the moment one frees up
-        (adaptive batching).  Requests whose deadline expired while queued
-        are swept out *first* and answered ``deadline_exceeded`` without
-        ever reaching a replica.
+        Requests whose deadline expired while queued are swept out *first*
+        and answered ``deadline_exceeded`` without ever reaching a slot.
+        While every slot is busy, work — full chunks too — waits in the
+        queue, where the timer sweeps it at its deadline; the backlog pops
+        as one coalesced batch the moment a slot frees (adaptive batching).
         """
         if self.batcher.closed:
             return
         for handle in self.batcher.expire_pending():
             self._resolve(handle)
-        self._schedule(self.batcher.take_ready(allow_partial=self.router.idle))
+        free = self.router.free()
+        for replica, chunk in zip(free, self.batcher.take_ready(limit=len(free))):
+            # Busy from now on, so the next drain skips this slot.
+            replica.active += 1
+            chunk.scheduled_at = self.batcher.clock()
+            task = self.server._loop.create_task(self._run_chunk(chunk, replica))
+            self.server._track_task(task)
+            replica.tasks.add(task)
+            task.add_done_callback(replica.tasks.discard)
         self._arm_timer()
 
     def flush_now(self) -> int:
-        """Force-pop everything pending (the ``flush`` operation)."""
+        """Release everything queued from ``max_wait`` (the ``flush`` op).
+
+        Returns how many requests were released; they pop as slots free.
+        """
         if self.batcher.closed:
             return 0
-        chunks = self.batcher.take_ready(force=True)
-        self._schedule(chunks)
-        self._arm_timer()
-        return sum(chunk.size for chunk in chunks)
+        released = self.batcher.release()
+        self.drain()
+        return released
 
     def _arm_timer(self) -> None:
         """Keep one timer armed for the next moment a drain could act.
 
         A finished chunk drains on its own; only the clock releases the
-        oldest request's ``max_wait`` while a slot is idle to take it and
+        oldest request's ``max_wait`` while a slot is free to take it and
         expires the earliest queued deadline (the end of a breaker's
         cooldown has its own wake-up, see :meth:`_record_breaker`).  An
         earlier due time re-arms the timer; an empty queue cancels it.
         """
         batcher = self.batcher
-        due = batcher.next_due(allow_partial=self.router.idle)
+        due = batcher.next_due(allow_partial=bool(self.router.free()))
         if due is None:
             self.cancel_timer()
         elif self._timer is None or due < self._timer_due:
@@ -428,63 +417,18 @@ class _ModelWorker:
             self._timer.cancel()
             self._timer = None
 
-    def _schedule(self, chunks: list[FlushChunk]) -> None:
-        for index, chunk in enumerate(chunks):
-            # Route at schedule time and count the replica busy immediately —
-            # a task that has not yet acquired the replica lock must already
-            # register as load, or a burst of submits convoys onto one
-            # replica (and pops a convoy of partial singles).
-            replica = self.router.pick()
-            if replica is None:
-                # No replica is admittable *right now*.  If some breaker is
-                # half-open (its probe in flight) or cooling towards a probe,
-                # push the popped work back into the queue to wait for the
-                # verdict; only when every breaker is open and cold does the
-                # work fail fast as ``unavailable``.
-                for waiting in reversed(chunks[index:]):
-                    if self.router.any_available():
-                        self.batcher.requeue(waiting)
-                    else:
-                        self.batcher.fail_chunk(
-                            waiting,
-                            UnavailableError(
-                                f"model {self.name!r}: all replica circuit "
-                                "breakers are open"
-                            ),
-                        )
-                        for handle in waiting.handles:
-                            self._resolve(handle)
-                return
-            replica.active += 1
-            chunk.scheduled_at = self.batcher.clock()
-            task = self.server._loop.create_task(self._run_chunk(chunk, replica))
-            self.server._track_task(task)
-            replica.tasks.add(task)
-            task.add_done_callback(replica.tasks.discard)
-
     async def _run_chunk(self, chunk: FlushChunk, replica: _Replica) -> None:
         error: BaseException | None = None
         ran = False
-        handles: list[PendingPrediction] = []
+        # prepare_chunk sweeps expired rows out of the chunk; snapshot the
+        # handle list so the rows it expires still resolve below.
+        handles = list(chunk.handles)
         try:
-            # Sweep deadline-expired rows *before* paying for inference —
-            # their clients already gave up; answer them now and run the
-            # forward on the survivors only.
-            for handle in self.batcher.expire_chunk(chunk):
-                self._resolve(handle)
-            if chunk.handles:
-                async with replica.lock:
-                    # run_chunk re-sweeps under its own clock read; snapshot
-                    # the handle list so rows it expires still resolve below.
-                    handles = list(chunk.handles)
-                    try:
-                        ran = True
-                        await self._execute(chunk, replica.predictor)
-                    except Exception as exc:
-                        # Terminal errors are already set on the handles; keep
-                        # the exception for accounting, never let it kill the
-                        # task.
-                        error = exc
+            ran = bool(await self._execute(chunk, replica.predictor))
+        except Exception as exc:
+            # Terminal errors are already set on the handles; keep the
+            # exception for accounting, never let it kill the task.
+            error = exc
         finally:
             replica.active -= 1
             replica.chunks += 1
@@ -515,28 +459,30 @@ class _ModelWorker:
                 self._record_breaker(replica, failed=False)
             for handle in handles:
                 self._resolve(handle)
-            # A flush just finished: anything that queued behind it may now
-            # be popped (as one coalesced batch).
+            # The slot is free again: whatever queued behind it may pop now
+            # (as one coalesced batch).
             self.drain()
 
-    async def _execute(self, chunk: FlushChunk, predictor: Predictor) -> None:
+    async def _execute(
+        self, chunk: FlushChunk, predictor: Predictor
+    ) -> list[PendingPrediction]:
         """Run one chunk on a slot; its handles end with samples or the error.
 
-        An in-process forward holds the GIL for its whole length, so it runs
-        on the thread pool.  A worker slot's chunk is I/O: the loop collates,
-        awaits the child's answer and fulfils the handles itself, with the
-        batcher's own two halves of ``run_chunk``.
+        Returns the handles fulfilled with samples (none when every row
+        expired first).  An in-process forward holds the GIL for its whole
+        length, so it runs on the thread pool.  A worker slot's chunk is
+        I/O: the loop collates, awaits the child's answer and fulfils the
+        handles itself, with the batcher's own two halves of ``run_chunk``.
         """
         exchange = _exchange(predictor)
         if exchange is None:
-            await self.server._loop.run_in_executor(
+            return await self.server._loop.run_in_executor(
                 self.server._executor, self.batcher.run_chunk, chunk, predictor
             )
-            return
         batcher = self.batcher
         prepared = batcher.prepare_chunk(chunk, predictor)
         if prepared is None:
-            return
+            return []
         batch, rng, stage = prepared
         started = batcher.clock()
         try:
@@ -547,7 +493,9 @@ class _ModelWorker:
         stage["inference"] = batcher.clock() - started
         # The child's own forward lies inside the exchange: a nested stage,
         # kept out of ``stage`` so the stages still partition the total.
-        batcher.complete_chunk(chunk, samples, stage, nested={"compute": compute_s})
+        return batcher.complete_chunk(
+            chunk, samples, stage, nested={"compute": compute_s}
+        )
 
     def _record_breaker(self, replica: _Replica, *, failed: bool) -> None:
         """Feed a chunk verdict to the replica's breaker; log transitions."""
@@ -833,13 +781,13 @@ class AsyncServingServer:
         A :class:`Predictor` is served as the model's single in-process
         slot.  A :class:`~repro.serve.workers.WorkerSpec` plus ``workers=N``
         (default 1) runs N slots as supervised *child processes*
-        (:mod:`repro.serve.workers`) behind the least-in-flight router — a
+        (:mod:`repro.serve.workers`), each taking one chunk at a time — a
         forward that holds the GIL can only use a second core from a
         separate process.  Crash/stall of a child trips that slot's circuit
         breaker exactly like an in-process exception, and the pool
         supervisor respawns it.
 
-        Either way the model has one externally-driven micro-batcher — one
+        Either way the model has one micro-batcher — one
         queue, one ``batch_id`` sequence, noise derived per flush from the
         server seed, collation parent-side — so served outputs are
         replayable offline regardless of scheduling and of which slot ran a
@@ -880,7 +828,6 @@ class AsyncServingServer:
             max_wait=max_wait,
             max_neighbours=max_neighbours,
             seed_per_flush=self.seed,
-            auto_flush=False,
         )
         self._models[name] = _ModelWorker(
             self, name, batcher, self._build_replicas(predictors)
@@ -941,7 +888,7 @@ class AsyncServingServer:
         # ------------------------------------------------------------------
         self.model_swaps += 1
         # Old chunks were routed before the cutover; let them finish on the
-        # old slots (they hold the slot locks they need).
+        # old slots, one each.
         old_tasks = [task for replica in old_replicas for task in replica.tasks]
         if old_tasks:
             _, late = await asyncio.wait(old_tasks, timeout=drain_timeout)

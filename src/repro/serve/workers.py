@@ -7,7 +7,7 @@ is built on:
 
 * **Topology** — the parent (`AsyncServingServer`) keeps the public TCP
   front-end, the shared per-model queue, the ``batch_id`` sequence, the
-  per-flush RNG derivation, and the Router's least-in-flight pick.
+  per-flush RNG derivation, and the Router's free-slot list.
   Each slot is a :class:`WorkerPredictor`: a child process running
   the predictor loop, fed over one persistent length-prefixed v2 connection
   (binary tensor frames) owned by the router's flush path.
@@ -628,7 +628,7 @@ class WorkerPredictor:
 
     Duck-types the :class:`~repro.serve.predictor.Predictor` surface the
     batcher/router need (``obs_len``/``pred_len``/``predict_world``), so the
-    whole slot machinery — least-in-flight routing, per-slot locks, circuit
+    whole slot machinery — free-slot routing, one chunk per slot, circuit
     breakers, swap/drain — works unchanged; the server awaits
     :meth:`predict_world_async` on its event loop instead.  A transport
     failure (crash, stall, malformed answer) raises

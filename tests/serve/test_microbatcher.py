@@ -109,25 +109,29 @@ class TestCollateRequests:
 
 
 class TestBatchingPolicies:
-    def test_max_batch_size_triggers_flush(self, request_factory):
+    def test_max_batch_size_makes_a_chunk_due(self, request_factory):
         stub = StubPredictor()
         batcher = MicroBatcher(stub, max_batch_size=4, max_wait=100.0, clock=FakeClock())
         handles = [batcher.submit(request_factory(i)) for i in range(7)]
-        # Requests 0-3 coalesced at the fourth submit; 4-6 still waiting.
+        assert stub.batch_sizes == []  # submit only queues
+        # Requests 0-3 form a full chunk, due at once; 4-6 wait out max_wait.
+        [chunk] = batcher.take_ready()
+        assert chunk.handles == handles[:4]
+        batcher.run_chunk(chunk)
         assert stub.batch_sizes == [4]
         assert [h.done for h in handles] == [True] * 4 + [False] * 3
         assert batcher.pending_count == 3
 
-    def test_max_wait_flushes_partial_batch(self, request_factory):
+    def test_max_wait_makes_a_partial_batch_due(self, request_factory):
         stub = StubPredictor()
         clock = FakeClock()
         batcher = MicroBatcher(stub, max_batch_size=32, max_wait=0.05, clock=clock)
         handle = batcher.submit(request_factory(0))
-        assert batcher.poll() == []  # oldest has not waited long enough
-        assert not handle.done
+        assert batcher.take_ready() == []  # oldest has not waited long enough
+        assert batcher.next_due(allow_partial=True) == 0.05
         clock.advance(0.051)
-        completed = batcher.poll()
-        assert [h.request.request_id for h in completed] == [0]
+        [chunk] = batcher.take_ready()
+        assert batcher.run_chunk(chunk) == [handle]
         assert handle.done
         assert stub.batch_sizes == [1]
 
@@ -136,10 +140,9 @@ class TestBatchingPolicies:
         batcher = MicroBatcher(stub, max_batch_size=4, max_wait=100.0, clock=FakeClock())
         for i in range(10):
             batcher.submit(request_factory(i))
-        batcher.flush()
+        assert len(batcher.flush()) == 10
         assert batcher.pending_count == 0
-        # 10 requests: two full batches on submit, then 4+2 on flush? No —
-        # submits flush at 4 and 8, leaving 2 for the final flush.
+        # Two full chunks, then the released remainder.
         assert stub.batch_sizes == [4, 4, 2]
         assert batcher.total_requests == 10
         assert batcher.total_batches == 3
@@ -162,8 +165,11 @@ class TestBatchingPolicies:
         batcher.flush()
         assert all(h.done for h in good)
 
-    def test_failed_flush_requeues_chunk(self, request_factory):
-        """A predictor error must not drop the coalesced requests."""
+    def test_failed_flush_fails_its_chunk_and_keeps_the_rest_queued(
+        self, request_factory
+    ):
+        """A predictor error fails the chunk that hit it, as on the server;
+        the chunks behind it stay queued instead of being stranded."""
 
         class FlakyPredictor(StubPredictor):
             def __init__(self):
@@ -176,13 +182,15 @@ class TestBatchingPolicies:
                     raise RuntimeError("transient backend failure")
                 return super().predict_world(batch, num_samples, rng)
 
-        batcher = MicroBatcher(FlakyPredictor(), max_batch_size=8, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(3)]
+        batcher = MicroBatcher(FlakyPredictor(), max_batch_size=2, clock=FakeClock())
+        handles = [batcher.submit(request_factory(i)) for i in range(5)]
         with pytest.raises(RuntimeError, match="transient"):
             batcher.flush()
-        assert batcher.pending_count == 3  # requeued, not lost
-        batcher.flush()  # backend recovered
-        assert all(h.done for h in handles)
+        assert all(isinstance(h.error, RuntimeError) for h in handles[:2])
+        assert not any(h.done for h in handles[2:])
+        assert batcher.pending_count == 3
+        assert batcher.flush() == handles[2:]  # backend recovered
+        assert all(h.error is None for h in handles[2:])
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -198,8 +206,10 @@ class TestCoalescingEquivalence:
         requests = [request_factory(i, num_neighbours=i % 4) for i in range(6)]
         coalesced = MicroBatcher(StubPredictor(), max_batch_size=6)
         batched = [coalesced.submit(r) for r in requests]
+        coalesced.flush()
         sequential = MicroBatcher(StubPredictor(), max_batch_size=1)
         singles = [sequential.submit(r) for r in requests]
+        sequential.flush()
         for a, b in zip(batched, singles):
             np.testing.assert_allclose(a.result(), b.result(), atol=1e-12)
 
@@ -210,7 +220,9 @@ class TestCoalescingEquivalence:
         requests = [request_factory(i, num_neighbours=i % 3) for i in range(5)]
         coalesced = MicroBatcher(Predictor(trained_vanilla), max_batch_size=5, rng=7)
         batched = [coalesced.submit(r) for r in requests]
+        coalesced.flush()
         sequential = MicroBatcher(Predictor(trained_vanilla), max_batch_size=1, rng=7)
         singles = [sequential.submit(r) for r in requests]
+        sequential.flush()
         for a, b in zip(batched, singles):
             np.testing.assert_allclose(a.result(), b.result(), atol=1e-9)

@@ -273,6 +273,35 @@ class TestBackpressure:
         assert received["samples"].shape == (1, 12, 2)
 
     @pytest.mark.server_config(
+        predictor=StubPredictor(delay=0.3),
+        model={"max_wait": 30.0, "max_batch_size": 64},
+    )
+    def test_flush_releases_a_request_queued_behind_a_busy_slot(self, running):
+        """``flush`` counts the queued request it releases, and the request
+        runs as soon as the busy slot frees, not after ``max_wait``."""
+        _, host, port, _ = running
+        answered: dict[str, float] = {}
+
+        def waiting_predict(name: str, seed: int) -> None:
+            with ServingClient.connect(host, port) as client:
+                client.predict("stub", make_obs(seed))
+                answered[name] = time.perf_counter()
+
+        first = threading.Thread(target=waiting_predict, args=("first", 0))
+        second = threading.Thread(target=waiting_predict, args=("second", 1))
+        with ServingClient.connect(host, port) as client:
+            first.start()
+            time.sleep(0.1)
+            assert client.flush("stub") == 1  # the slot takes the 0.3 s forward
+            second.start()
+            time.sleep(0.1)  # the second request now waits behind it
+            flushed_at = time.perf_counter()
+            assert client.flush("stub") == 1
+        first.join(timeout=5.0)
+        second.join(timeout=5.0)
+        assert answered["second"] - flushed_at < 1.0
+
+    @pytest.mark.server_config(
         predictor=StubPredictor(delay=0.05), model={"max_wait": 0.0}
     )
     def test_concurrent_clients_coalesce(self, running):
@@ -298,16 +327,17 @@ class TestBackpressure:
 
 
 class FailFirstPredictor(StubPredictor):
-    """Its first forward runs ``delay`` seconds and then raises."""
+    """Its first ``failures`` forwards run ``delay`` seconds and then raise."""
 
-    def __init__(self, delay: float) -> None:
+    def __init__(self, delay: float, failures: int = 1) -> None:
         super().__init__()
         self.first_delay = delay
+        self.failures = failures
         self.calls = 0
 
     def predict_world(self, batch, num_samples, rng):
         self.calls += 1
-        if self.calls == 1:
+        if self.calls <= self.failures:
             time.sleep(self.first_delay)
             raise RuntimeError("first forward fails")
         return super().predict_world(batch, num_samples, rng)
@@ -396,6 +426,82 @@ class TestDrainTimer:
         np.testing.assert_allclose(samples[0], expected_extrapolation(obs), atol=1e-9)
         # Queued at ~0.1 s, breaker opened at ~0.2 s, probe at ~0.4 s.
         assert 0.25 <= elapsed < 1.0
+
+    @pytest.mark.server_config(
+        predictor=FailFirstPredictor(delay=0.2),
+        breaker_threshold=1,
+        breaker_cooldown=0.2,
+        model={"max_batch_size": 1},
+    )
+    def test_full_chunk_queued_behind_an_open_breaker_waits_for_the_probe(
+        self, running
+    ):
+        """With max_batch_size=1 the queued request is a full chunk.  It
+        waits in the queue too, and runs as the half-open probe after the
+        cooldown, never on the slot the moment its breaker opens."""
+        _, host, port, _ = running
+        outcome: dict[str, object] = {}
+
+        def failing() -> None:
+            with ServingClient.connect(host, port) as client:
+                try:
+                    client.predict("stub", make_obs(0), deadline_ms=0)
+                except RemoteServingError as error:
+                    outcome["first"] = error.code
+
+        first = threading.Thread(target=failing)
+        first.start()
+        time.sleep(0.1)  # the failing forward holds the slot
+        obs = make_obs(1)
+        with ServingClient.connect(host, port, timeout=5.0) as client:
+            started = time.perf_counter()
+            samples = client.predict("stub", obs, deadline_ms=0)
+            elapsed = time.perf_counter() - started
+        first.join(timeout=10.0)
+        assert outcome["first"] == protocol.E_INTERNAL
+        np.testing.assert_allclose(samples[0], expected_extrapolation(obs), atol=1e-9)
+        # Queued at ~0.1 s, breaker opened at ~0.2 s, probe at ~0.4 s.
+        assert 0.25 <= elapsed < 1.0
+
+    @pytest.mark.server_config(
+        predictor=FailFirstPredictor(delay=0.3, failures=2),
+        breaker_threshold=1,
+        breaker_cooldown=0.3,
+        model={"max_batch_size": 1},
+    )
+    def test_full_chunk_behind_a_failed_probe_waits_for_the_next_probe(
+        self, running
+    ):
+        """A full chunk queued behind a half-open probe that fails waits for
+        the next probe (or its deadline) instead of failing ``unavailable``;
+        admission alone answers new work ``unavailable``."""
+        _, host, port, _ = running
+        codes: list[str] = []
+
+        def failing() -> None:
+            with ServingClient.connect(host, port) as client:
+                try:
+                    client.predict("stub", make_obs(0), deadline_ms=0)
+                except RemoteServingError as error:
+                    codes.append(error.code)
+
+        started = time.perf_counter()
+        first = threading.Thread(target=failing)
+        first.start()  # fails at ~0.3 s: the breaker is open until ~0.6 s
+        time.sleep(0.75)
+        probe = threading.Thread(target=failing)
+        probe.start()  # the half-open probe, failing at ~1.05 s
+        time.sleep(0.15)
+        obs = make_obs(1)
+        with ServingClient.connect(host, port, timeout=5.0) as client:
+            samples = client.predict("stub", obs, deadline_ms=0)
+        elapsed = time.perf_counter() - started
+        first.join(timeout=10.0)
+        probe.join(timeout=10.0)
+        assert codes == [protocol.E_INTERNAL] * 2
+        np.testing.assert_allclose(samples[0], expected_extrapolation(obs), atol=1e-9)
+        # The next probe starts when the restarted cooldown ends, ~1.35 s.
+        assert elapsed >= 1.2
 
 
 class TestRealModelEquivalence:
@@ -517,7 +623,7 @@ class TestShutdown:
 
 
 class TestRouter:
-    """Unit tests for the least-in-flight router and its breaker gating."""
+    """Unit tests for free-slot routing and its breaker gating."""
 
     @staticmethod
     def make_replicas(count, cooldown=60.0):
@@ -528,27 +634,25 @@ class TestRouter:
             for index in range(count)
         ]
 
-    def test_picks_least_in_flight(self):
+    def test_free_slots_lowest_index_first(self):
         from repro.serve.server import Router
 
-        replicas = self.make_replicas(2)
+        replicas = self.make_replicas(3)
         router = Router(replicas)
-        assert router.pick() is replicas[0]  # tie -> lowest index
-        replicas[0].active = 2
-        assert router.pick() is replicas[1]
-        replicas[1].active = 3
-        assert router.pick() is replicas[0]
-
-    def test_idle_signal(self):
-        from repro.serve.server import Router
-
-        replicas = self.make_replicas(2)
-        router = Router(replicas)
-        assert router.idle
+        assert router.free() == replicas
         replicas[0].active = 1
-        assert router.idle  # one replica still free
+        assert router.free() == replicas[1:]
+
+    def test_busy_slots_are_not_free(self):
+        from repro.serve.server import Router
+
+        replicas = self.make_replicas(2)
+        router = Router(replicas)
+        replicas[0].active = 1
+        assert router.free() == [replicas[1]]  # one slot still free
         replicas[1].active = 1
-        assert not router.idle
+        assert router.free() == []
+        assert router.any_available()  # busy is not broken
 
     def test_rejects_no_slots(self):
         from repro.serve.server import Router
@@ -562,9 +666,9 @@ class TestRouter:
         replicas = self.make_replicas(2)
         router = Router(replicas)
         replicas[0].breaker.record_failure()  # threshold 1: opens
-        assert router.pick() is replicas[1]
-        replicas[1].active = 5  # still preferred over the open slot
-        assert router.pick() is replicas[1]
+        assert router.free() == [replicas[1]]
+        replicas[1].active = 1  # the open slot is still not free
+        assert router.free() == []
         assert router.any_available()
 
     def test_half_open_slot_takes_one_probe_at_a_time(self):
@@ -572,15 +676,17 @@ class TestRouter:
 
         replicas = self.make_replicas(2, cooldown=0.0)
         router = Router(replicas)
-        replicas[1].active = 3
+        replicas[1].active = 1
         replicas[0].breaker.record_failure()  # cooldown 0: half-open next
-        probe = router.pick()
-        assert probe is replicas[0]
+        assert router.free() == [replicas[0]]
+        probe = replicas[0]
         assert probe.breaker.state == CircuitBreaker.HALF_OPEN
-        probe.active += 1  # the probe chunk is in flight
-        assert router.pick() is replicas[1]  # no second probe
+        probe.active = 1  # the probe chunk is in flight
+        assert router.free() == []  # no second probe
+        probe.active = 0
         probe.breaker.record_success()
-        assert router.pick() is replicas[0]  # closed again, least loaded
+        assert router.free() == [replicas[0]]  # closed again
+        assert probe.breaker.state == CircuitBreaker.CLOSED
 
     def test_all_breakers_open_leaves_nothing_to_pick(self):
         from repro.serve.server import Router
@@ -589,9 +695,8 @@ class TestRouter:
         router = Router(replicas)
         for replica in replicas:
             replica.breaker.record_failure()
-        assert router.pick() is None
+        assert router.free() == []
         assert not router.any_available()
-        assert not router.idle
 
 
 class TestReplicaServing:

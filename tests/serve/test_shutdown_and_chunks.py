@@ -3,7 +3,7 @@
 The PR-4 regression surface: a shut-down batcher/engine must terminate every
 pending request with :class:`ServingClosedError` instead of hanging pollers,
 shutdown must be idempotent and exception-safe, and the ``take_ready`` /
-``run_chunk`` external-flush API must preserve coalescing and the per-flush
+``release`` / ``run_chunk`` API must preserve coalescing and the per-flush
 RNG replay contract the network gate relies on.
 """
 
@@ -78,7 +78,8 @@ class TestShutdown:
     def test_completed_results_survive_shutdown(self, request_factory):
         """Shutdown fails *pending* work only; delivered results stay valid."""
         batcher = MicroBatcher(StubPredictor(), max_batch_size=2, clock=FakeClock())
-        done = [batcher.submit(request_factory(i)) for i in range(2)]  # auto-flush
+        done = [batcher.submit(request_factory(i)) for i in range(2)]
+        batcher.flush()
         late = batcher.submit(request_factory(2))
         batcher.shutdown()
         assert all(h.error is None for h in done)
@@ -86,19 +87,23 @@ class TestShutdown:
         assert isinstance(late.error, ServingClosedError)
 
     def test_shutdown_after_failed_flush_is_exception_safe(self, request_factory):
-        """Requests requeued by a failed flush still get terminal errors."""
+        """A failed flush strands nothing: its chunk holds the forward's
+        error, and the requests still queued behind it get the terminal
+        shutdown error."""
 
         class FailingPredictor(StubPredictor):
             def predict_world(self, batch, num_samples, rng):
                 raise RuntimeError("backend down")
 
-        batcher = MicroBatcher(FailingPredictor(), max_batch_size=8, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(2)]
+        batcher = MicroBatcher(FailingPredictor(), max_batch_size=2, clock=FakeClock())
+        handles = [batcher.submit(request_factory(i)) for i in range(4)]
         with pytest.raises(RuntimeError, match="backend down"):
             batcher.flush()
-        assert batcher.pending_count == 2  # requeued by the sync path
+        assert all(isinstance(h.error, RuntimeError) for h in handles[:2])
+        assert batcher.pending_count == 2  # never popped, still queued
         assert batcher.shutdown() == 2
-        assert all(isinstance(h.error, ServingClosedError) for h in handles)
+        assert all(isinstance(h.error, ServingClosedError) for h in handles[2:])
+        assert all(h.done for h in handles)
 
     def test_engine_shutdown_idempotent_and_rejecting(self, predictor):
         engine = ServingEngine(predictor, num_samples=1, max_batch_size=64, rng=0)
@@ -127,11 +132,9 @@ class TestExternalFlushChunks:
     def make_batcher(self, clock=None, **kwargs):
         kwargs.setdefault("max_batch_size", 4)
         kwargs.setdefault("max_wait", 0.05)
-        return MicroBatcher(
-            StubPredictor(), auto_flush=False, clock=clock or FakeClock(), **kwargs
-        )
+        return MicroBatcher(StubPredictor(), clock=clock or FakeClock(), **kwargs)
 
-    def test_submit_does_not_auto_flush(self, request_factory):
+    def test_submit_only_queues(self, request_factory):
         batcher = self.make_batcher()
         handles = [batcher.submit(request_factory(i)) for i in range(6)]
         assert not any(h.done for h in handles)
@@ -150,24 +153,33 @@ class TestExternalFlushChunks:
         assert [c.batch_id for c in chunks] == [0, 1]
         assert batcher.pending_count == 0
 
-    def test_allow_partial_false_defers_stragglers(self, request_factory):
-        clock = FakeClock()
-        batcher = self.make_batcher(clock=clock, max_wait=0.0)
+    def test_limit_caps_the_chunks_popped(self, request_factory):
+        batcher = self.make_batcher(max_wait=0.0)
         batcher.submit(request_factory(0))
-        # Model busy: the scheduler refuses partial pops, the single waits...
-        assert batcher.take_ready(allow_partial=False) == []
-        batcher.submit(request_factory(1))
-        batcher.submit(request_factory(2))
-        # ...and when the model frees up, the backlog coalesces into one batch.
-        [chunk] = batcher.take_ready()
-        assert chunk.size == 3
+        # No free slot: the scheduler pops nothing, the single waits...
+        assert batcher.take_ready(limit=0) == []
+        for i in range(1, 7):
+            batcher.submit(request_factory(i))
+        # ...and one slot frees: one chunk pops, the backlog coalesced.
+        [chunk] = batcher.take_ready(limit=1)
+        assert chunk.size == 4
+        assert batcher.pending_count == 3
+        assert [c.size for c in batcher.take_ready(limit=2)] == [3]
 
-    def test_force_pops_everything(self, request_factory):
-        batcher = self.make_batcher(max_wait=100.0)
+    def test_release_makes_a_partial_batch_due(self, request_factory):
+        clock = FakeClock()
+        batcher = self.make_batcher(clock=clock, max_wait=100.0)
         for i in range(5):
             batcher.submit(request_factory(i))
-        chunks = batcher.take_ready(force=True)
-        assert [c.size for c in chunks] == [4, 1]
+        assert [c.size for c in batcher.take_ready()] == [4]  # full chunk only
+        assert batcher.release() == 1
+        assert batcher.next_due(allow_partial=True) == clock.now
+        [chunk] = batcher.take_ready()
+        assert chunk.size == 1
+        # Work submitted after the release waits out max_wait again.
+        clock.advance(1.0)
+        batcher.submit(request_factory(5))
+        assert batcher.take_ready() == []
 
     def test_run_chunk_fulfils_handles(self, request_factory):
         batcher = self.make_batcher()
@@ -184,16 +196,14 @@ class TestExternalFlushChunks:
             def predict_world(self, batch, num_samples, rng):
                 raise RuntimeError("boom")
 
-        batcher = MicroBatcher(
-            FlakyPredictor(), auto_flush=False, max_batch_size=4, clock=FakeClock()
-        )
+        batcher = MicroBatcher(FlakyPredictor(), max_batch_size=4, clock=FakeClock())
         handles = [batcher.submit(request_factory(i)) for i in range(2)]
-        [chunk] = batcher.take_ready(force=True)
+        [chunk] = batcher.take_ready()
         with pytest.raises(RuntimeError, match="boom"):
             batcher.run_chunk(chunk)
-        # Externally-driven flushes never requeue: the error is terminal, so
-        # the async server can answer the waiting clients instead of retrying
-        # a poisoned batch forever.
+        # A failed chunk is never requeued: the error is terminal, so the
+        # async server can answer the waiting clients instead of retrying a
+        # poisoned batch forever.
         assert batcher.pending_count == 0
         for handle in handles:
             assert isinstance(handle.error, RuntimeError)
@@ -211,12 +221,11 @@ class TestPerFlushRngReplay:
             predictor,
             num_samples=2,
             max_batch_size=3,
-            auto_flush=False,
             seed_per_flush=123,
         )
         requests = [request_factory(i, num_neighbours=i % 3) for i in range(5)]
         handles = [batcher.submit(r) for r in requests]
-        chunks = batcher.take_ready(force=True)
+        chunks = batcher.take_ready()
         # Execute out of order — per-flush derivation makes order irrelevant.
         for chunk in reversed(chunks):
             batcher.run_chunk(chunk)
