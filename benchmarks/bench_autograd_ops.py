@@ -5,10 +5,10 @@ regenerate whole paper artifacts), this file times the individual kernels the
 training loop is built from, so BENCH trajectory files track wall-clock for:
 
 * fused LSTM forward+backward against two baselines: the current-engine
-  per-timestep path (``LSTM.forward_reference``) and the **seed** engine
-  semantics (per-timestep loop with out-of-place gradient accumulation and a
-  full-size ``np.add.at`` scatter per slice backward, restored via
-  monkeypatch).  The acceptance gate: >= 2x over the seed implementation at
+  per-timestep path (``tests/nn/oracles.py:lstm_forward_reference``) and
+  the **seed** engine semantics (per-timestep loop with out-of-place
+  gradient accumulation and a full-size ``np.add.at`` scatter per slice
+  backward, restored via monkeypatch).  The acceptance gate: >= 2x over the seed implementation at
   ``[batch=64, time=20, hidden=64]`` with float64 outputs within 1e-10 of
   the reference;
 * the LBEBM decoder rollout forward+backward (one autograd node, closed-form
@@ -40,6 +40,7 @@ import numpy as np
 from repro.models.decoder import RecurrentTrajectoryDecoder
 from repro.nn import LSTM, Tensor
 from tests.models.oracles import rollout_reference
+from tests.nn.oracles import lstm_forward_reference
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -165,7 +166,7 @@ def lstm_fused_step(lstm: LSTM, inputs: np.ndarray) -> np.ndarray:
 def lstm_reference_step(lstm: LSTM, inputs: np.ndarray) -> np.ndarray:
     lstm.zero_grad()
     x = Tensor(inputs)
-    out, (h, _) = lstm.forward_reference(x)
+    out, (h, _) = lstm_forward_reference(lstm, x)
     ((out * out).sum() + (h * h).sum()).backward()
     return out.data
 

@@ -3,7 +3,7 @@
 Three contracts from the PR-3 issue, each held as a hard assertion:
 
 1. **Golden equality** — the vectorized ``simulate_scene`` reproduces the
-   frozen seed oracle (``repro.sim.reference.simulate_scene_reference``)
+   frozen seed oracle (``tests/sim/oracles.py:simulate_scene_reference``)
    bit for bit at default ``DataConfig`` scale, for every domain.
 2. **Scene-generation speedup** — the vectorized generator beats the seed
    oracle's wall clock at default ``DataConfig`` scale across the four
@@ -29,10 +29,11 @@ import pytest
 
 from repro.data.registry import DataConfig
 from repro.data.trajectory import scenes_equal
-from repro.sim import simulate_scene, simulate_scene_reference
+from repro.sim import simulate_scene
 from repro.sim.domains import DOMAIN_NAMES
 from repro.experiments.runner import usable_cpu_count
 from repro.utils.seeding import new_rng, spawn_rng
+from tests.sim.oracles import simulate_scene_reference
 
 MIN_GENERATION_SPEEDUP = 2.0
 MIN_PARALLEL_SPEEDUP = 1.5

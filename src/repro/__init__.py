@@ -12,8 +12,8 @@ experiment harness regenerating every table and figure of the paper
 (:mod:`repro.experiments`), and the online serving engine — model registry,
 micro-batching, streaming windows (:mod:`repro.serve`).
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-paper-vs-measured results.
+See ``docs/architecture.md`` for the system inventory and its invariants,
+and ``docs/reproducing.md`` for regenerating the paper's tables and figures.
 """
 
 __version__ = "1.0.0"

@@ -29,22 +29,24 @@ __all__ = [
     "DomainSpecificExtractor",
     "ReconstructionDecoder",
     "expert_bank_forward",
-    "expert_bank_forward_reference",
 ]
 
 
-def _stackable_layers(experts: ModuleList) -> list | None:
-    """Layer blocks of the expert bank when all experts are stack-compatible.
+def _stackable_layers(experts: ModuleList) -> list:
+    """Layer layout shared by every expert of the bank.
 
     Stacking requires every expert to be an :class:`MLP` with the same
     Linear/Activation layout (no dropout — per-expert dropout streams cannot
-    be merged into one batched pass).  Returns ``None`` when the bank must
-    fall back to the per-expert loop.
+    be merged into one batched pass).  Raises :class:`ValueError` naming the
+    mismatch otherwise; :class:`DomainSpecificExtractor` checks its banks at
+    construction.
     """
-    if len(experts) == 0 or not all(isinstance(e, MLP) for e in experts):
-        return None
-    layouts = []
-    for expert in experts:
+    if len(experts) == 0:
+        raise ValueError("an expert bank needs at least one expert")
+    first = None
+    for k, expert in enumerate(experts):
+        if not isinstance(expert, MLP):
+            raise ValueError(f"expert {k} is a {type(expert).__name__}, not an MLP")
         layout = []
         for block in expert.net._items:
             if isinstance(block, Linear):
@@ -52,11 +54,15 @@ def _stackable_layers(experts: ModuleList) -> list | None:
             elif isinstance(block, Activation):
                 layout.append(("activation", block.name))
             else:
-                return None
-        layouts.append(tuple(layout))
-    if len(set(layouts)) != 1:
-        return None
-    return list(layouts[0])
+                raise ValueError(
+                    f"expert {k} has a {type(block).__name__} layer; "
+                    "only Linear/Activation experts can be stacked"
+                )
+        if first is None:
+            first = layout
+        elif layout != first:
+            raise ValueError(f"expert {k} has layout {layout}, expert 0 has {first}")
+    return first
 
 
 def expert_bank_forward(experts: ModuleList, x: Tensor) -> Tensor:
@@ -67,16 +73,11 @@ def expert_bank_forward(experts: ModuleList, x: Tensor) -> Tensor:
     MLP forwards, but the model math runs as one batched matmul per layer
     instead of a Python loop over experts.  The per-layer ``stack`` of the
     expert weights is differentiable, so each expert's own :class:`Parameter`
-    still receives its gradient slice.
-
-    Experts whose structure cannot be stacked (non-MLP, mismatched layouts,
-    dropout) fall back to :func:`expert_bank_forward_reference`.
+    still receives its gradient slice.  A bank that cannot be stacked
+    raises :class:`ValueError` (see :func:`_stackable_layers`).
     """
-    layout = _stackable_layers(experts)
-    if layout is None:
-        return expert_bank_forward_reference(experts, x)
     out = x  # [B, in] -> [K, B, .] after the first stacked Linear
-    for index, spec in enumerate(layout):
+    for index, spec in enumerate(_stackable_layers(experts)):
         if spec[0] == "linear":
             weight = stack([e.net[index].weight for e in experts], axis=0)  # [K, in, out]
             out = out @ weight
@@ -86,11 +87,6 @@ def expert_bank_forward(experts: ModuleList, x: Tensor) -> Tensor:
         else:
             out = experts[0].net[index](out)
     return out
-
-
-def expert_bank_forward_reference(experts: ModuleList, x: Tensor) -> Tensor:
-    """Per-expert loop oracle; the stacked path is tested against this."""
-    return stack([expert(x) for expert in experts], axis=0)
 
 
 class DomainInvariantExtractor(Module):
@@ -124,7 +120,7 @@ class DomainInvariantExtractor(Module):
         return self.v_ind(h_ei)
 
     def neighbour(self, p_i: Tensor) -> Tensor:
-        """``H^i_Ei = V_nei(P_i)`` (Eq. 10; see DESIGN.md note 1)."""
+        """``H^i_Ei = V_nei(P_i)`` (Eq. 10)."""
         return self.v_nei(p_i)
 
     def fuse(self, individual: Tensor, neighbour: Tensor) -> Tensor:
@@ -168,6 +164,8 @@ class DomainSpecificExtractor(Module):
                 for _ in range(num_domains)
             ]
         )
+        _stackable_layers(self.m_ind)
+        _stackable_layers(self.m_nei)
         # tanh-bounded for the same reason as the invariant fusion.
         self.m_fuse = MLP([2 * feature_dim, feature_dim], out_activation="tanh", rng=rng)
 

@@ -13,7 +13,7 @@
   *invariant* features enter the classifier through a gradient-reversal
   layer (so they are trained to be domain-indistinguishable) while the
   *specific* features receive the plain classification gradient (so they are
-  trained to be domain-identifiable).  See DESIGN.md interpretation note 2.
+  trained to be domain-identifiable).
 """
 
 from __future__ import annotations

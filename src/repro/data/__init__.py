@@ -1,7 +1,7 @@
 """``repro.data`` — trajectory containers and the TrajNet++-style pipeline.
 
-Scenes → resampling (0.4 s) → sliding-window samples (8 obs + 12 pred) →
-chronological 6:2:2 splits → normalized padded batches.
+Scenes (simulated at 0.4 s frames) → sliding-window samples (8 obs + 12
+pred) → chronological 6:2:2 splits → normalized padded batches.
 """
 
 from repro.data.dataset import (
@@ -12,7 +12,6 @@ from repro.data.dataset import (
     TrajectorySample,
     extract_samples,
 )
-from repro.data.preprocess import pixels_to_world, resample_scene, resample_track
 from repro.data.registry import (
     DataConfig,
     cache_stats,
@@ -45,8 +44,5 @@ __all__ = [
     "get_cache_dir",
     "load_domain_dataset",
     "load_multi_domain",
-    "pixels_to_world",
-    "resample_scene",
-    "resample_track",
     "set_cache_dir",
 ]

@@ -2,10 +2,9 @@
 
 A :class:`Scene` is a continuous recording of one environment: a set of
 :class:`AgentTrack` objects, each holding an agent's positions at a fixed
-frame interval (0.4 s after preprocessing, matching the paper's TrajNet++
-setup).  Scenes are produced either by the social-force simulator
-(:mod:`repro.sim`) or by loading external recordings, and consumed by the
-windowing code in :mod:`repro.data.dataset`.
+frame interval (0.4 s, matching the paper's TrajNet++ setup).  Scenes are
+produced by the social-force simulator (:mod:`repro.sim`) and consumed by
+the windowing code in :mod:`repro.data.dataset`.
 """
 
 from __future__ import annotations
@@ -67,10 +66,6 @@ class AgentTrack:
     def velocities(self, dt: float = 1.0) -> np.ndarray:
         """Per-frame velocity estimates, shape ``[T-1, 2]``."""
         return np.diff(self.positions, axis=0) / dt
-
-    def accelerations(self, dt: float = 1.0) -> np.ndarray:
-        """Per-frame acceleration estimates, shape ``[T-2, 2]``."""
-        return np.diff(self.positions, n=2, axis=0) / (dt * dt)
 
 
 @dataclass

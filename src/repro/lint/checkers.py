@@ -24,9 +24,6 @@ from repro.lint.core import (
 # REP-DET — determinism
 # ----------------------------------------------------------------------
 
-#: The one module allowed to touch global RNG state (it *owns* seeding).
-SEEDING_MODULE_SUFFIX = "repro/utils/seeding.py"
-
 #: ``np.random.<fn>`` calls that create/handle explicit generator objects —
 #: everything else on ``np.random`` is the legacy global stream.
 NP_RANDOM_ALLOWED = frozenset(
@@ -49,9 +46,9 @@ class DeterminismChecker(Checker):
     code = "REP-DET"
     name = "determinism"
     description = (
-        "no module-level RNG (np.random.* / stdlib random) outside "
-        "repro.utils.seeding; no wall-clock reads in signature-relevant "
-        "modules (sim, data, experiments)"
+        "no module-level RNG (np.random.* / stdlib random) anywhere in "
+        "src; no wall-clock reads in signature-relevant modules (sim, data, "
+        "experiments)"
     )
 
     def check(self, ctx: LintContext) -> list[Finding]:
@@ -62,19 +59,17 @@ class DeterminismChecker(Checker):
             tree = pyfile.tree
             if tree is None:
                 continue
-            is_seeding = pyfile.relpath.endswith(SEEDING_MODULE_SUFFIX)
             clock_scoped = pyfile.relpath.startswith(WALLCLOCK_SCOPES)
             datetime_names = set()
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and node.level == 0:
-                    if node.module == "random" and not is_seeding:
+                    if node.module == "random":
                         findings.append(
                             Finding(
                                 pyfile.relpath,
                                 node.lineno,
                                 self.code,
-                                "stdlib random imported outside "
-                                "repro.utils.seeding — take an explicit "
+                                "stdlib random imported — take an explicit "
                                 "np.random.Generator instead",
                             )
                         )
@@ -106,7 +101,6 @@ class DeterminismChecker(Checker):
                     and chain[0] in ("np", "numpy")
                     and chain[1] == "random"
                     and chain[2] not in NP_RANDOM_ALLOWED
-                    and not is_seeding
                 ):
                     findings.append(
                         Finding(
@@ -121,7 +115,6 @@ class DeterminismChecker(Checker):
                 if (
                     len(chain) == 2
                     and chain[0] == "random"
-                    and not is_seeding
                     and chain[1] != "Random"
                 ):
                     findings.append(
@@ -129,8 +122,8 @@ class DeterminismChecker(Checker):
                             pyfile.relpath,
                             node.lineno,
                             self.code,
-                            f"global stdlib RNG random.{chain[1]}() outside "
-                            "repro.utils.seeding",
+                            f"global stdlib RNG random.{chain[1]}() — pass "
+                            "an explicit Generator (repro.utils.seeding.new_rng)",
                         )
                     )
                 if clock_scoped and (

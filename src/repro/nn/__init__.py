@@ -9,10 +9,10 @@ groups (needed by the paper's Alg. 1), and checkpoint serialization.
 from repro.nn import functional, init
 from repro.nn.attention import SocialAttention, SocialPooling
 from repro.nn.compile import CompileError, Plan, capture
-from repro.nn.layers import MLP, Activation, Dropout, LayerNorm, Linear, Sequential
-from repro.nn.module import Module, ModuleDict, ModuleList, Parameter, inference_mode
+from repro.nn.layers import MLP, Activation, Dropout, Linear, Sequential
+from repro.nn.module import Module, ModuleList, Parameter, inference_mode
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
-from repro.nn.recurrent import GRU, GRUCell, LSTM, LSTMCell
+from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.serialization import (
     FORMAT_VERSION,
     CheckpointMeta,
@@ -45,15 +45,11 @@ __all__ = [
     "CompileError",
     "Dropout",
     "FORMAT_VERSION",
-    "GRU",
-    "GRUCell",
     "LSTM",
     "LSTMCell",
-    "LayerNorm",
     "Linear",
     "MLP",
     "Module",
-    "ModuleDict",
     "ModuleList",
     "Optimizer",
     "Parameter",

@@ -21,7 +21,6 @@ __all__ = [
     "masked_softmax",
     "mse_loss",
     "sample_gaussian",
-    "smooth_l1_loss",
     "softmax",
 ]
 
@@ -90,16 +89,6 @@ def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
     target = as_tensor(target).detach()
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def smooth_l1_loss(prediction: Tensor, target: Tensor | np.ndarray, beta: float = 1.0) -> Tensor:
-    """Huber loss, quadratic below ``beta`` and linear above."""
-    target = as_tensor(target).detach()
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = (diff * diff) * (0.5 / beta)
-    linear = abs_diff - 0.5 * beta
-    return where(abs_diff.data < beta, quadratic, linear).mean()
 
 
 def cross_entropy_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -13,16 +13,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = [
-    "kaiming_uniform_",
-    "normal_",
-    "ones_",
-    "orthogonal_",
-    "uniform_",
-    "xavier_normal_",
-    "xavier_uniform_",
-    "zeros_",
-]
+__all__ = ["orthogonal_", "uniform_", "xavier_uniform_"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -32,42 +23,14 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
     return shape[0] * receptive, shape[1] * receptive
 
 
-def zeros_(tensor: Tensor) -> Tensor:
-    tensor.data[...] = 0.0
-    return tensor
-
-
-def ones_(tensor: Tensor) -> Tensor:
-    tensor.data[...] = 1.0
-    return tensor
-
-
 def uniform_(tensor: Tensor, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> Tensor:
     tensor.data[...] = rng.uniform(low, high, size=tensor.shape)
-    return tensor
-
-
-def normal_(tensor: Tensor, rng: np.random.Generator, mean: float = 0.0, std: float = 0.02) -> Tensor:
-    tensor.data[...] = rng.normal(mean, std, size=tensor.shape)
     return tensor
 
 
 def xavier_uniform_(tensor: Tensor, rng: np.random.Generator, gain: float = 1.0) -> Tensor:
     fan_in, fan_out = _fan_in_out(tensor.shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform_(tensor, rng, -bound, bound)
-
-
-def xavier_normal_(tensor: Tensor, rng: np.random.Generator, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = _fan_in_out(tensor.shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal_(tensor, rng, 0.0, std)
-
-
-def kaiming_uniform_(tensor: Tensor, rng: np.random.Generator, nonlinearity: str = "relu") -> Tensor:
-    gain = math.sqrt(2.0) if nonlinearity == "relu" else 1.0
-    fan_in, _ = _fan_in_out(tensor.shape)
-    bound = gain * math.sqrt(3.0 / fan_in)
     return uniform_(tensor, rng, -bound, bound)
 
 

@@ -1,4 +1,4 @@
-"""Feed-forward building blocks: Linear, MLP, LayerNorm, Dropout, Sequential.
+"""Feed-forward building blocks: Linear, MLP, Dropout, Sequential.
 
 The paper's embedding function, fusion modules, extractors, decoders, and
 classifiers are all MLPs with ReLU nonlinearities (Sec. II-C, III-B..D);
@@ -18,7 +18,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, get_default_dtype
 from repro.utils.seeding import new_rng
 
-__all__ = ["MLP", "Activation", "Dropout", "LayerNorm", "Linear", "Sequential"]
+__all__ = ["MLP", "Activation", "Dropout", "Linear", "Sequential"]
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "relu": lambda x: x.relu(),
@@ -105,24 +105,6 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return dropout(x, self.p, self.rng, training=self.training)
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
-
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.features = features
-        self.eps = eps
-        self.gamma = Parameter(np.ones(features))
-        self.beta = Parameter(np.zeros(features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
 
 
 class Sequential(Module):

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor, no_grad
 
-__all__ = ["Module", "ModuleDict", "ModuleList", "Parameter", "inference_mode"]
+__all__ = ["Module", "ModuleList", "Parameter", "inference_mode"]
 
 
 class Parameter(Tensor):
@@ -193,30 +193,3 @@ class ModuleList(Module):
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)
-
-
-class ModuleDict(Module):
-    """A string-keyed mapping of sub-modules."""
-
-    def __init__(self, modules: dict[str, Module] | None = None) -> None:
-        super().__init__()
-        for key, module in (modules or {}).items():
-            self[key] = module
-
-    def __setitem__(self, key: str, module: Module) -> None:
-        self._modules[key] = module
-
-    def __getitem__(self, key: str) -> Module:
-        return self._modules[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._modules
-
-    def keys(self):
-        return self._modules.keys()
-
-    def values(self):
-        return self._modules.values()
-
-    def items(self):
-        return self._modules.items()

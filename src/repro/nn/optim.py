@@ -108,10 +108,6 @@ class Optimizer:
     def set_frozen(self, name: str, frozen: bool) -> None:
         self.group(name).frozen = frozen
 
-    def set_all_lr_scales(self, scale: float) -> None:
-        for g in self.groups:
-            g.lr_scale = scale
-
     def zero_grad(self) -> None:
         for group in self.groups:
             for p in group.params:

@@ -7,23 +7,22 @@ using any sequential model, such as LSTM"; LBEBM's mobility encoder here uses
 Performance architecture
 ------------------------
 Sequence encoding is the training hot path (AdapTraj multiplies it across
-per-domain batch streams), so the encoders avoid Python-level per-timestep
-autograd graphs:
+per-domain batch streams), so :class:`LSTM` builds no per-timestep autograd
+graph:
 
 * the input projection ``inputs @ weight_x + bias`` is computed for the whole
-  ``[batch, time, gates * hidden]`` window in **one** batched matmul outside
-  the time loop (:class:`LSTM` and :class:`GRU`; the cells accept the
-  precomputed slice via ``x_proj``);
-* :class:`LSTM` additionally runs the entire recurrence as a single fused
-  graph node (:func:`_lstm_fused`): the forward loop is plain numpy with the
-  per-step activations stashed, and the backward closure replays BPTT in
-  numpy, producing the window-level gradients in one pass instead of ~20
-  graph closures per timestep.
+  ``[batch, time, 4 * hidden]`` window in **one** batched matmul outside the
+  time loop;
+* the recurrence runs as a single fused graph node (:func:`_lstm_fused`):
+  the forward loop is plain numpy with the per-step activations stashed, and
+  the backward closure replays BPTT in numpy, producing the window-level
+  gradients in one pass instead of ~20 graph closures per timestep.
 
-``LSTM.forward_reference`` keeps the original per-timestep cell loop; the
-fused path is validated against it (values and gradients) in
-``tests/nn/test_recurrent_fused.py`` and timed in
-``benchmarks/bench_autograd_ops.py``.
+:class:`LSTMCell` is one plain Tensor step; the decoder's rollout reads its
+weights directly.  The per-timestep cell loop the fused path replaced lives
+in ``tests/nn/oracles.py``; the fused path is validated against it (values
+and gradients) in ``tests/nn/test_recurrent_fused.py`` and timed against it
+in ``benchmarks/bench_autograd_ops.py``.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ import numpy as np
 from repro.nn import init
 from repro.nn._tracer import register_kernel, trace as _trace
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, get_default_dtype, is_grad_enabled, stack
+from repro.nn.tensor import Tensor, get_default_dtype, is_grad_enabled
 from repro.utils.seeding import new_rng
 
-__all__ = ["GRU", "GRUCell", "LSTM", "LSTMCell"]
+__all__ = ["LSTM", "LSTMCell"]
 
 
 class LSTMCell(Module):
@@ -69,26 +68,16 @@ class LSTMCell(Module):
         self.bias.data[hidden_size : 2 * hidden_size] = 1.0
 
     def forward(
-        self,
-        x: Tensor | None,
-        state: tuple[Tensor, Tensor] | None = None,
-        x_proj: Tensor | None = None,
+        self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
     ) -> tuple[Tensor, Tensor]:
-        """One step.  ``x_proj`` is the precomputed ``x @ weight_x + bias``
-        (a ``[batch, 4 * hidden]`` slice of the window-level projection); the
-        sequence encoders pass it so the input matmul is hoisted out of the
-        time loop."""
-        if x_proj is None:
-            if x is None:
-                raise ValueError("LSTMCell needs either x or x_proj")
-            x_proj = x @ self.weight_x + self.bias
-        batch = x_proj.shape[0]
+        """One step."""
+        batch = x.shape[0]
         if state is None:
             h = Tensor(np.zeros((batch, self.hidden_size)))
             c = Tensor(np.zeros((batch, self.hidden_size)))
         else:
             h, c = state
-        gates = x_proj + h @ self.weight_h
+        gates = x @ self.weight_x + self.bias + h @ self.weight_h
         hs = self.hidden_size
         i = gates[:, 0 * hs : 1 * hs].sigmoid()
         f = gates[:, 1 * hs : 2 * hs].sigmoid()
@@ -97,48 +86,6 @@ class LSTMCell(Module):
         c_next = f * c + i * g
         h_next = o * c_next.tanh()
         return h_next, c_next
-
-
-class GRUCell(Module):
-    """Gated recurrent unit cell (alternative mobility encoder)."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        super().__init__()
-        rng = new_rng(rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.weight_x = Parameter(np.empty((input_size, 3 * hidden_size), dtype=get_default_dtype()))
-        self.weight_h = Parameter(np.empty((hidden_size, 3 * hidden_size), dtype=get_default_dtype()))
-        self.bias = Parameter(np.zeros(3 * hidden_size))
-        init.xavier_uniform_(self.weight_x, rng)
-        init.xavier_uniform_(self.weight_h, rng)
-
-    def forward(
-        self,
-        x: Tensor | None,
-        h: Tensor | None = None,
-        x_proj: Tensor | None = None,
-    ) -> Tensor:
-        """One step; ``x_proj`` is the precomputed ``x @ weight_x + bias``."""
-        if x_proj is None:
-            if x is None:
-                raise ValueError("GRUCell needs either x or x_proj")
-            x_proj = x @ self.weight_x + self.bias
-        batch = x_proj.shape[0]
-        if h is None:
-            h = Tensor(np.zeros((batch, self.hidden_size)))
-        hs = self.hidden_size
-        gx = x_proj
-        gh = h @ self.weight_h
-        r = (gx[:, 0:hs] + gh[:, 0:hs]).sigmoid()
-        z = (gx[:, hs : 2 * hs] + gh[:, hs : 2 * hs]).sigmoid()
-        n = (gx[:, 2 * hs : 3 * hs] + r * gh[:, 2 * hs : 3 * hs]).tanh()
-        return (1.0 - z) * n + z * h
 
 
 def _lstm_forward_np(
@@ -300,8 +247,7 @@ class LSTM(Module):
     Returns the per-step hidden states stacked along time plus the final
     ``(h, c)`` state — the paper's ``h^{t,l_e}_{e_i}`` is the final hidden
     state.  The input projection is fused across the window and the
-    recurrence runs as a single graph node; ``forward_reference`` keeps the
-    per-timestep path for equivalence tests and benchmarks.
+    recurrence runs as a single graph node.
     """
 
     def __init__(
@@ -337,62 +283,3 @@ class LSTM(Module):
         h_final = fused[:, -1, :hs]
         c_final = fused[:, -1, hs:]
         return outputs, (h_final, c_final)
-
-    def forward_reference(
-        self, inputs: Tensor, state: tuple[Tensor, Tensor] | None = None
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Original per-timestep implementation (the fused path's oracle)."""
-        self._check_inputs(inputs)
-        steps = inputs.shape[1]
-        outputs: list[Tensor] = []
-        h_c = state
-        for t in range(steps):
-            h, c = self.cell(inputs[:, t, :], h_c)
-            h_c = (h, c)
-            outputs.append(h)
-        return stack(outputs, axis=1), h_c
-
-
-class GRU(Module):
-    """Run a :class:`GRUCell` over a ``[batch, time, features]`` tensor.
-
-    The input projection is computed for the whole window in one matmul;
-    each step consumes its precomputed slice via the cell's ``x_proj``.
-    """
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng=rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-
-    def forward(
-        self, inputs: Tensor, h: Tensor | None = None
-    ) -> tuple[Tensor, Tensor]:
-        if inputs.ndim != 3:
-            raise ValueError(f"GRU expects [batch, time, features], got {inputs.shape}")
-        steps = inputs.shape[1]
-        gx = inputs @ self.cell.weight_x + self.cell.bias
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            h = self.cell(None, h, x_proj=gx[:, t, :])
-            outputs.append(h)
-        return stack(outputs, axis=1), h
-
-    def forward_reference(
-        self, inputs: Tensor, h: Tensor | None = None
-    ) -> tuple[Tensor, Tensor]:
-        """Per-timestep path computing the projection inside the loop."""
-        if inputs.ndim != 3:
-            raise ValueError(f"GRU expects [batch, time, features], got {inputs.shape}")
-        steps = inputs.shape[1]
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            h = self.cell(inputs[:, t, :], h)
-            outputs.append(h)
-        return stack(outputs, axis=1), h

@@ -770,9 +770,3 @@ def grad_reverse(tensor: Tensor, scale: float = 1.0) -> Tensor:
             tensor._accumulate(-scale * grad)
 
     return Tensor._make(data, (tensor,), backward)
-
-
-def flatten(tensor: Tensor, start_axis: int = 1) -> Tensor:
-    """Flatten all axes from ``start_axis`` onward."""
-    shape = tensor.shape[:start_axis] + (-1,)
-    return tensor.reshape(*shape)

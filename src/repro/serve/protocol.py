@@ -97,7 +97,6 @@ __all__ = [
     "read_frame_sync_ex",
     "request",
     "validate_request",
-    "write_frame_sync",
 ]
 
 #: Version of the request/response schema.  v2 adds the binary frame kind;
@@ -413,11 +412,6 @@ def read_frame_sync_ex(sock: socket.socket) -> tuple[dict | None, int]:
     if payload is None:
         raise ProtocolError("connection closed mid-frame")
     return decode_payload(payload), _HEADER.size + length
-
-
-def write_frame_sync(sock: socket.socket, message: dict) -> None:
-    """Blocking send of one frame."""
-    sock.sendall(encode_frame(message))
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Synthetic stand-in for the paper's four datasets (ETH&UCY, L-CAS, SYI, SDD):
 a Helbing–Molnár social-force model with four domain presets whose crowd
 density, speed, and dominant motion axis reproduce the distribution shifts
-of paper Table I.  See DESIGN.md §2.2 for the substitution rationale.
+of paper Table I.  ``docs/architecture.md`` §2 states the simulator's
+invariants.
 """
 
 # Break the sim <-> data import cycle: repro.sim.generator needs
@@ -14,7 +15,6 @@ import repro.data.trajectory  # noqa: F401  (import-order guard, see above)
 
 from repro.sim.domains import DOMAIN_NAMES, DomainSpec, get_domain
 from repro.sim.generator import generate_scenes, simulate_scene
-from repro.sim.reference import simulate_scene_reference, social_force_step_reference
 from repro.sim.scenarios import (
     ConcourseScenario,
     CorridorScenario,
@@ -45,6 +45,4 @@ __all__ = [
     "generate_scenes",
     "get_domain",
     "simulate_scene",
-    "simulate_scene_reference",
-    "social_force_step_reference",
 ]

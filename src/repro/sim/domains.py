@@ -2,7 +2,8 @@
 
 Each :class:`DomainSpec` bundles a scenario geometry, social-force physics,
 and crowding parameters, calibrated so the generated data reproduces the
-*relative* statistics of paper Table I (see DESIGN.md §2.2):
+*relative* statistics of paper Table I (``docs/reproducing.md`` gives the
+command that regenerates them):
 
 ============  =========  ==============  ======================  =============
 preset        mimics     crowd density   dominant motion         speed regime

@@ -10,7 +10,7 @@ This is the vectorized production path: goal checks run as one batched
 scenario call per substep (:meth:`Scenario.is_done_batch`), frames are
 recorded as contiguous per-frame snapshots instead of per-agent position
 lists, and the physics step stacks all walls into a single broadcast.  The
-seed per-agent implementation is preserved in :mod:`repro.sim.reference`;
+seed per-agent implementation is preserved in ``tests/sim/oracles.py``;
 ``tests/sim/test_generator_fast.py`` asserts the two produce bit-identical
 scenes at fixed seeds, and ``benchmarks/bench_experiment_engine.py`` gates
 the speedup.

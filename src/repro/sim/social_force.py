@@ -21,7 +21,7 @@ the trajectory-prediction literature references for crowd interactions
 
 All force computations are vectorized over agents (and over walls).  The
 seed per-wall / ``np.linalg.norm``-based implementations are preserved in
-:mod:`repro.sim.reference` as the golden-tested oracle
+``tests/sim/oracles.py`` as the golden-tested oracle
 (``tests/sim/test_generator_fast.py`` enforces bit-identical outputs).
 """
 

@@ -8,8 +8,6 @@ helpers create, split, and normalize such generators.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 #: Default seed used across examples and tests when the caller does not care.
@@ -40,30 +38,3 @@ def spawn_rng(rng: np.random.Generator, n: int = 1) -> list[np.random.Generator]
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
-
-
-def seed_everything(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    """Seed Python's and numpy's *global* RNGs and return a fresh generator.
-
-    The library itself never relies on global state; this exists for user
-    scripts that mix in third-party code.
-    """
-    random.seed(seed)
-    np.random.seed(seed % (2**32))
-    return new_rng(seed)
-
-
-class RngMixin:
-    """Mixin storing a lazily-created generator under ``self._rng``."""
-
-    _rng: np.random.Generator | None = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng()
-        return self._rng
-
-    @rng.setter
-    def rng(self, value: int | np.random.Generator | None) -> None:
-        self._rng = new_rng(value)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core import extractors
 from repro.core.aggregator import DomainSpecificAggregator
 from repro.core.extractors import (
     DomainClassifier,
@@ -12,9 +15,22 @@ from repro.core.extractors import (
     DomainSpecificExtractor,
     ReconstructionDecoder,
     expert_bank_forward,
-    expert_bank_forward_reference,
 )
-from repro.nn import MLP, ModuleList, Tensor
+from repro.nn import MLP, ModuleList, Tensor, stack
+
+
+def expert_bank_forward_reference(experts: ModuleList, x: Tensor) -> Tensor:
+    """Per-expert loop oracle; the stacked path is tested against this."""
+    return stack([expert(x) for expert in experts], axis=0)
+
+
+def _wider_hidden(k, sizes):
+    """Expert ``k`` is one hidden unit wider than expert ``k - 1``."""
+    return [sizes[0], sizes[1] + k, *sizes[2:]], {}
+
+
+def _with_dropout(k, sizes):
+    return list(sizes), {"dropout_p": 0.5}
 
 
 @pytest.fixture
@@ -147,24 +163,28 @@ class TestExpertBankVectorization:
             for p in ext.m_ind[1].parameters()
         )
 
-    def test_heterogeneous_bank_falls_back(self, rng):
-        """Experts that cannot be stacked (mismatched widths) still work."""
-        bank = ModuleList([MLP([4, 8, 2], rng=rng), MLP([4, 6, 2], rng=rng)])
-        x = Tensor(rng.normal(size=(3, 4)))
-        out = expert_bank_forward(bank, x)
-        np.testing.assert_allclose(
-            out.data, expert_bank_forward_reference(bank, x).data
-        )
+    @pytest.mark.parametrize(
+        "variant, message",
+        [(_wider_hidden, "layout"), (_with_dropout, "Dropout")],
+        ids=["mismatched-width", "dropout"],
+    )
+    def test_unstackable_bank_raises(self, rng, dims, monkeypatch, variant, message):
+        """A bank that cannot be stacked is an error, not a slower path: in
+        ``expert_bank_forward`` and at extractor construction alike."""
+        built = itertools.count()
 
-    def test_dropout_bank_falls_back(self, rng):
-        bank = ModuleList(
-            [MLP([4, 8, 2], dropout_p=0.5, rng=rng) for _ in range(2)]
-        )
-        for mlp in bank:
-            mlp.eval()
-        x = Tensor(rng.normal(size=(3, 4)))
-        out = expert_bank_forward(bank, x)
-        assert out.shape == (2, 3, 2)
+        class VariantMLP(MLP):
+            def __init__(self, sizes, **kwargs):
+                sizes, extra = variant(next(built), sizes)
+                super().__init__(sizes, **kwargs, **extra)
+
+        bank = ModuleList([VariantMLP([4, 8, 2], rng=rng) for _ in range(2)])
+        with pytest.raises(ValueError, match=message):
+            expert_bank_forward(bank, Tensor(rng.normal(size=(3, 4))))
+
+        monkeypatch.setattr(extractors, "MLP", VariantMLP)
+        with pytest.raises(ValueError, match=message):
+            self.make_bank(rng, dims)
 
 
 class TestAggregatorPooling:

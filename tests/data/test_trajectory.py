@@ -40,10 +40,9 @@ class TestAgentTrack:
         with pytest.raises(ValueError, match="covers"):
             track.slice_frames(0, 5)
 
-    def test_velocities_and_accelerations(self):
+    def test_velocities(self):
         track = straight_track(length=5, speed=2.0)
         np.testing.assert_allclose(track.velocities(dt=1.0)[:, 0], 2.0)
-        np.testing.assert_allclose(track.accelerations(dt=1.0), 0.0)
 
     def test_velocity_dt_scaling(self):
         track = straight_track(length=5, speed=2.0)

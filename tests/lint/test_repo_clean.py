@@ -4,11 +4,13 @@ This is the test CI's ``lint`` job duplicates from the shell
 (``python -m repro.lint --strict``).  If it fails, either fix the violation
 or — when the code is genuinely right — add a justified inline pragma
 (``# lint: disable=CODE(reason)``); the baseline stays empty by policy
-(see docs/lint.md).
+(see docs/lint.md).  One layout rule is checked here directly: no module
+under ``src/`` imports ``tests``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -33,3 +35,25 @@ def test_committed_baseline_is_empty():
     # baseline mechanism exists for third-party adopters / emergencies.
     payload = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
     assert payload == {"findings": [], "version": 1}
+
+
+def test_src_never_imports_tests():
+    # Reference oracles live under tests/; an import from src/ would turn
+    # one back into a runtime dependency.
+    sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno} imports {module}"
+                for module in modules
+                if module.split(".")[0] == "tests"
+            ]
+    assert offenders == []

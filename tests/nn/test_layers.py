@@ -1,11 +1,11 @@
-"""Tests for feed-forward layers: Linear, MLP, LayerNorm, Dropout, Sequential."""
+"""Tests for feed-forward layers: Linear, MLP, Dropout, Sequential."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, LayerNorm, Linear, Sequential, Tensor
+from repro.nn import MLP, Dropout, Linear, Sequential, Tensor
 
 from tests.nn.gradcheck import assert_gradients_close
 
@@ -88,24 +88,6 @@ class TestMLP:
             opt.step()
             losses.append(loss.item())
         assert losses[-1] < 0.3 * losses[0]
-
-
-class TestLayerNorm:
-    def test_output_statistics(self, rng):
-        ln = LayerNorm(16)
-        x = Tensor(rng.normal(2.0, 3.0, size=(8, 16)))
-        out = ln(x)
-        np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
-
-    def test_gradcheck(self, rng):
-        x = rng.normal(size=(2, 4))
-        ln = LayerNorm(4)
-
-        def fn(xx):
-            return (ln(xx) ** 2).sum()
-
-        assert_gradients_close(fn, [x], atol=1e-5)
 
 
 class TestDropoutLayer:

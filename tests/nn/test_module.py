@@ -9,7 +9,6 @@ from repro.nn import (
     MLP,
     Linear,
     Module,
-    ModuleDict,
     ModuleList,
     Parameter,
     Tensor,
@@ -22,12 +21,18 @@ from repro.nn import (
 )
 
 
+class Experts(Module):
+    def __init__(self, rng):
+        super().__init__()
+        self.a = Linear(4, 4, rng=rng)
+
+
 class Nested(Module):
     def __init__(self, rng):
         super().__init__()
         self.encoder = MLP([4, 8, 4], rng=rng)
         self.heads = ModuleList([Linear(4, 2, rng=rng) for _ in range(3)])
-        self.experts = ModuleDict({"a": Linear(4, 4, rng=rng)})
+        self.experts = Experts(rng)
         self.scale = Parameter(np.ones(1))
 
     def forward(self, x):
@@ -53,12 +58,6 @@ class TestTraversal:
         model = Nested(rng)
         assert len(model.heads) == 3
         assert all(isinstance(m, Linear) for m in model.heads)
-
-    def test_module_dict_access(self, rng):
-        model = Nested(rng)
-        assert "a" in model.experts
-        assert isinstance(model.experts["a"], Linear)
-        assert list(model.experts.keys()) == ["a"]
 
     def test_named_modules_includes_nested(self, rng):
         model = Nested(rng)

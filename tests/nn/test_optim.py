@@ -233,11 +233,6 @@ class TestParameterGroups:
         with pytest.raises(ValueError, match="multiple"):
             SGD({"a": [p], "b": [p]}, lr=0.1)
 
-    def test_set_all_lr_scales(self):
-        a, b, opt = self.make_groups()
-        opt.set_all_lr_scales(0.5)
-        assert all(g.lr_scale == 0.5 for g in opt.groups)
-
 
 class TestClipGradNorm:
     def test_clips_large_gradient(self):

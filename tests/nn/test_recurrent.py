@@ -1,10 +1,10 @@
-"""Tests for LSTM / GRU cells and the sequence encoder."""
+"""Tests for the LSTM cell and the sequence encoder."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import GRUCell, LSTM, LSTMCell, Tensor
+from repro.nn import LSTM, LSTMCell, Tensor
 
 from tests.nn.gradcheck import assert_gradients_close
 
@@ -40,27 +40,6 @@ class TestLSTMCell:
             return (h * h).sum() + c.sum()
 
         assert_gradients_close(fn, [rng.normal(size=(2, 2))], atol=1e-5)
-
-
-class TestGRUCell:
-    def test_output_shape(self, rng):
-        cell = GRUCell(3, 6, rng=rng)
-        h = cell(Tensor(rng.normal(size=(5, 3))))
-        assert h.shape == (5, 6)
-
-    def test_gradcheck_inputs(self, rng):
-        cell = GRUCell(2, 3, rng=rng)
-        assert_gradients_close(
-            lambda x: (cell(x) ** 2).sum(), [rng.normal(size=(2, 2))], atol=1e-5
-        )
-
-    def test_interpolates_between_candidate_and_state(self, rng):
-        cell = GRUCell(2, 4, rng=rng)
-        h0 = Tensor(rng.normal(size=(3, 4)))
-        h1 = cell(Tensor(rng.normal(size=(3, 2))), h0)
-        # GRU output is a convex combination of state and tanh candidate.
-        assert np.all(h1.data <= np.maximum(h0.data, 1.0) + 1e-9)
-        assert np.all(h1.data >= np.minimum(h0.data, -1.0) - 1e-9)
 
 
 class TestLSTMEncoder:

@@ -1,17 +1,20 @@
-"""Fused-vs-reference equivalence for the vectorized recurrent kernels.
+"""Fused-vs-reference equivalence for the vectorized LSTM.
 
 The fused LSTM path (window-level input projection + single BPTT graph node)
-and the fused GRU projection must match the per-timestep reference
-implementation to float64 round-off, in both values and gradients.
+must match the per-timestep oracle in ``tests/nn/oracles.py`` to float64
+round-off, in both values and gradients.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.nn import GRU, LSTM, Tensor
+from repro.nn import LSTM, Tensor
 
 from tests.nn.gradcheck import assert_gradients_close
+from tests.nn.oracles import lstm_forward_reference
 
 ATOL = 1e-10
 
@@ -26,7 +29,7 @@ class TestLSTMFusedEquivalence:
         lstm = LSTM(3, 8, rng=rng)
         x = Tensor(rng.normal(size=(5, 7, 3)))
         out_fused, (h_fused, c_fused) = lstm(x)
-        out_ref, (h_ref, c_ref) = lstm.forward_reference(x)
+        out_ref, (h_ref, c_ref) = lstm_forward_reference(lstm, x)
         np.testing.assert_allclose(out_fused.data, out_ref.data, atol=ATOL, rtol=0)
         np.testing.assert_allclose(h_fused.data, h_ref.data, atol=ATOL, rtol=0)
         np.testing.assert_allclose(c_fused.data, c_ref.data, atol=ATOL, rtol=0)
@@ -36,7 +39,7 @@ class TestLSTMFusedEquivalence:
         x = Tensor(rng.normal(size=(3, 5, 2)))
         state = (Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4))))
         out_fused, _ = lstm(x, state)
-        out_ref, _ = lstm.forward_reference(x, state)
+        out_ref, _ = lstm_forward_reference(lstm, x, state)
         np.testing.assert_allclose(out_fused.data, out_ref.data, atol=ATOL, rtol=0)
 
     def test_benchmark_shape_equivalence(self, rng):
@@ -44,7 +47,7 @@ class TestLSTMFusedEquivalence:
         lstm = LSTM(16, 64, rng=rng)
         x = Tensor(rng.normal(size=(64, 20, 16)))
         out_fused, (h_fused, _) = lstm(x)
-        out_ref, (h_ref, _) = lstm.forward_reference(x)
+        out_ref, (h_ref, _) = lstm_forward_reference(lstm, x)
         np.testing.assert_allclose(out_fused.data, out_ref.data, atol=ATOL, rtol=0)
         np.testing.assert_allclose(h_fused.data, h_ref.data, atol=ATOL, rtol=0)
 
@@ -60,7 +63,7 @@ class TestLSTMFusedEquivalence:
             return _grads(lstm)
 
         fused = loss_with(lstm.forward)
-        ref = loss_with(lstm.forward_reference)
+        ref = loss_with(partial(lstm_forward_reference, lstm))
         assert fused.keys() == ref.keys()
         for name in fused:
             np.testing.assert_allclose(
@@ -79,7 +82,8 @@ class TestLSTMFusedEquivalence:
             return x.grad.copy()
 
         np.testing.assert_allclose(
-            input_grad(lstm.forward), input_grad(lstm.forward_reference),
+            input_grad(lstm.forward),
+            input_grad(partial(lstm_forward_reference, lstm)),
             atol=ATOL, rtol=0,
         )
 
@@ -96,8 +100,8 @@ class TestLSTMFusedEquivalence:
             (out * out).sum().backward()
             return h0.grad.copy(), c0.grad.copy()
 
-        for fused, ref in zip(state_grads(lstm.forward),
-                              state_grads(lstm.forward_reference)):
+        reference = partial(lstm_forward_reference, lstm)
+        for fused, ref in zip(state_grads(lstm.forward), state_grads(reference)):
             np.testing.assert_allclose(fused, ref, atol=ATOL, rtol=0)
 
     def test_fused_sequence_gradcheck(self, rng):
@@ -108,68 +112,3 @@ class TestLSTMFusedEquivalence:
             return (out * out).sum() + (h * h).sum() + c.sum()
 
         assert_gradients_close(fn, [rng.normal(size=(2, 4, 2))], atol=1e-5)
-
-
-class TestGRUFusedEquivalence:
-    def test_forward_matches_reference(self, rng):
-        gru = GRU(3, 6, rng=rng)
-        x = Tensor(rng.normal(size=(4, 7, 3)))
-        out_fused, h_fused = gru(x)
-        out_ref, h_ref = gru.forward_reference(x)
-        assert out_fused.shape == (4, 7, 6)
-        np.testing.assert_allclose(out_fused.data, out_ref.data, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(h_fused.data, h_ref.data, atol=ATOL, rtol=0)
-
-    def test_parameter_gradients_match_reference(self, rng):
-        gru = GRU(2, 4, rng=rng)
-        data = rng.normal(size=(3, 6, 2))
-
-        def loss_with(forward):
-            gru.zero_grad()
-            out, h = forward(Tensor(data))
-            ((out * out).sum() + h.sum()).backward()
-            return _grads(gru)
-
-        fused = loss_with(gru.forward)
-        ref = loss_with(gru.forward_reference)
-        for name in fused:
-            np.testing.assert_allclose(
-                fused[name], ref[name], atol=ATOL, rtol=0,
-                err_msg=f"gradient mismatch for {name}",
-            )
-
-    def test_fused_sequence_gradcheck(self, rng):
-        gru = GRU(2, 3, rng=rng)
-
-        def fn(x):
-            out, h = gru(x)
-            return (out * out).sum() + (h * h).sum()
-
-        assert_gradients_close(fn, [rng.normal(size=(2, 4, 2))], atol=1e-5)
-
-    def test_cell_x_proj_matches_plain_input(self, rng):
-        gru = GRU(3, 5, rng=rng)
-        x = Tensor(rng.normal(size=(4, 3)))
-        via_x = gru.cell(x)
-        via_proj = gru.cell(None, x_proj=x @ gru.cell.weight_x + gru.cell.bias)
-        np.testing.assert_allclose(via_x.data, via_proj.data, atol=ATOL, rtol=0)
-
-
-class TestLSTMCellXProj:
-    def test_cell_x_proj_matches_plain_input(self, rng):
-        lstm = LSTM(3, 5, rng=rng)
-        cell = lstm.cell
-        x = Tensor(rng.normal(size=(4, 3)))
-        h_x, c_x = cell(x)
-        h_p, c_p = cell(None, x_proj=x @ cell.weight_x + cell.bias)
-        np.testing.assert_allclose(h_x.data, h_p.data, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(c_x.data, c_p.data, atol=ATOL, rtol=0)
-
-    def test_cell_requires_x_or_x_proj(self, rng):
-        lstm = LSTM(2, 3, rng=rng)
-        try:
-            lstm.cell(None)
-        except ValueError as err:
-            assert "x_proj" in str(err)
-        else:
-            raise AssertionError("expected ValueError")

@@ -149,7 +149,7 @@ class _RawServer:
                     time.sleep(delay)
                 first = False
                 try:
-                    protocol.write_frame_sync(conn, self._respond(message))
+                    conn.sendall(protocol.encode_frame(self._respond(message)))
                 except OSError:
                     return
 

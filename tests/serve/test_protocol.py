@@ -85,8 +85,8 @@ class TestSyncFraming:
 
         a, b = socket.socketpair()
         try:
-            protocol.write_frame_sync(a, {"v": 1, "id": 1, "op": "health"})
-            protocol.write_frame_sync(a, {"v": 1, "id": 2, "op": "stats"})
+            a.sendall(protocol.encode_frame({"v": 1, "id": 1, "op": "health"}))
+            a.sendall(protocol.encode_frame({"v": 1, "id": 2, "op": "stats"}))
             first = protocol.read_frame_sync(b)
             second = protocol.read_frame_sync(b)
             assert (first["id"], second["id"]) == (1, 2)
@@ -403,7 +403,7 @@ def roundtrip(address, message: dict):
 
     with socket.create_connection(address, timeout=10) as sock:
         sock.settimeout(10)
-        protocol.write_frame_sync(sock, message)
+        sock.sendall(protocol.encode_frame(message))
         return protocol.read_frame_sync(sock)
 
 

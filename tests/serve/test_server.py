@@ -198,7 +198,7 @@ class TestErrors:
         import socket
 
         with socket.create_connection((host, port)) as sock:
-            protocol.write_frame_sync(sock, {"v": 99, "id": 1, "op": "health"})
+            sock.sendall(protocol.encode_frame({"v": 99, "id": 1, "op": "health"}))
             response = protocol.read_frame_sync(sock)
         assert response["ok"] is False
         assert response["error"]["code"] == protocol.E_UNSUPPORTED_VERSION

@@ -1,12 +1,12 @@
-"""Frozen seed implementation of the scene generator — the golden oracle.
+"""Frozen seed implementation of the scene generator (test code only).
 
 The production path (:func:`repro.sim.generator.simulate_scene` on top of the
 vectorized :func:`repro.sim.social_force.social_force_step`) replaces the
 seed's per-agent Python loops with batched operations.  This module keeps the
 seed implementation *verbatim* — per-wall force loop, per-agent
 ``np.linalg.norm`` goal checks, dict-of-lists frame recording — as a tested
-oracle, the same pattern as ``forward_reference`` for the fused LSTM and the
-``DomainSpecificExtractor`` expert-bank loop:
+oracle, the same pattern as ``tests/nn/oracles.py`` for the fused LSTM and
+``tests/models/oracles.py`` for the fused decoder:
 
 * ``tests/sim/test_generator_fast.py`` asserts the fast path reproduces the
   oracle's scenes **bit for bit** at fixed seeds;
@@ -15,8 +15,8 @@ oracle, the same pattern as ``forward_reference`` for the fused LSTM and the
 
 The only intentional deviation from the seed is that :class:`AgentBatch`
 itself now uses preallocated capacity-doubled storage, so the oracle is no
-longer accidentally quadratic in arrivals (`ISSUE 3`, satellite 1) — its
-numerical behaviour is unchanged.
+longer accidentally quadratic in arrivals — its numerical behaviour is
+unchanged.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Golden tests: the vectorized simulator against the frozen seed oracle.
 
-The contract (same pattern as ``forward_reference`` / ``expert_bank_forward``):
+The contract (same pattern as ``tests/nn/oracles.py`` for the fused LSTM):
 ``repro.sim.generator.simulate_scene`` must reproduce
-``repro.sim.reference.simulate_scene_reference`` **bit for bit** — same
+``tests/sim/oracles.py:simulate_scene_reference`` **bit for bit** — same
 tracks, same order, same positions to the last ulp — for every domain at
 fixed seeds.  Also covers the capacity-doubling :class:`AgentBatch` storage,
 the batched scenario APIs, and the stacked wall force against the per-wall
@@ -21,11 +21,6 @@ from repro.sim import (
     Scenario,
     get_domain,
     simulate_scene,
-    simulate_scene_reference,
-)
-from repro.sim.reference import (
-    _wall_force_reference,
-    social_force_step_reference,
 )
 from repro.sim.social_force import (
     AgentBatch,
@@ -34,6 +29,12 @@ from repro.sim.social_force import (
     WallSet,
     _wall_force,
     social_force_step,
+)
+
+from tests.sim.oracles import (
+    _wall_force_reference,
+    simulate_scene_reference,
+    social_force_step_reference,
 )
 
 

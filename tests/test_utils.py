@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils import new_rng, seed_everything, spawn_rng
+from repro.utils import new_rng, spawn_rng
 
 
 class TestSeeding:
@@ -35,7 +35,3 @@ class TestSeeding:
     def test_spawn_rejects_zero(self):
         with pytest.raises(ValueError):
             spawn_rng(new_rng(3), 0)
-
-    def test_seed_everything_returns_generator(self):
-        rng = seed_everything(42)
-        assert isinstance(rng, np.random.Generator)
