@@ -16,7 +16,7 @@ from repro.core.extractors import (
     ReconstructionDecoder,
     expert_bank_forward,
 )
-from repro.nn import MLP, ModuleList, Tensor, stack
+from repro.nn import MLP, Linear, ModuleList, Tensor, stack
 
 
 def expert_bank_forward_reference(experts: ModuleList, x: Tensor) -> Tensor:
@@ -27,6 +27,21 @@ def expert_bank_forward_reference(experts: ModuleList, x: Tensor) -> Tensor:
 def _wider_hidden(k, sizes):
     """Expert ``k`` is one hidden unit wider than expert ``k - 1``."""
     return [sizes[0], sizes[1] + k, *sizes[2:]], {}
+
+
+def _wider_output(k, sizes):
+    """Expert ``k`` emits ``k`` more features than expert 0."""
+    return [*sizes[:-1], sizes[-1] + k], {}
+
+
+def _deeper(k, sizes):
+    """Expert ``k`` has ``k`` extra output-width layers."""
+    return [*sizes, *[sizes[-1]] * k], {}
+
+
+def _other_activation(k, sizes):
+    """Odd-numbered experts use tanh between layers instead of relu."""
+    return list(sizes), {"activation": "tanh"} if k % 2 else {}
 
 
 def _with_dropout(k, sizes):
@@ -165,8 +180,15 @@ class TestExpertBankVectorization:
 
     @pytest.mark.parametrize(
         "variant, message",
-        [(_wider_hidden, "layout"), (_with_dropout, "Dropout")],
-        ids=["mismatched-width", "dropout"],
+        [
+            (_wider_hidden, "layout"),
+            (_wider_output, "layout"),
+            (_deeper, "layout"),
+            (_other_activation, "layout"),
+            (_with_dropout, "Dropout"),
+        ],
+        ids=["mismatched-width", "mismatched-output", "mismatched-depth",
+             "mismatched-activation", "dropout"],
     )
     def test_unstackable_bank_raises(self, rng, dims, monkeypatch, variant, message):
         """A bank that cannot be stacked is an error, not a slower path: in
@@ -185,6 +207,15 @@ class TestExpertBankVectorization:
         monkeypatch.setattr(extractors, "MLP", VariantMLP)
         with pytest.raises(ValueError, match=message):
             self.make_bank(rng, dims)
+
+    def test_non_mlp_expert_raises(self, rng):
+        bank = ModuleList([MLP([4, 8, 2], rng=rng), Linear(4, 2, rng=rng)])
+        with pytest.raises(ValueError, match="expert 1 is a Linear, not an MLP"):
+            expert_bank_forward(bank, Tensor(rng.normal(size=(3, 4))))
+
+    def test_empty_bank_raises(self, rng):
+        with pytest.raises(ValueError, match="at least one expert"):
+            expert_bank_forward(ModuleList(), Tensor(rng.normal(size=(3, 4))))
 
 
 class TestAggregatorPooling:

@@ -48,6 +48,16 @@ class TestAgentTrack:
         track = straight_track(length=5, speed=2.0)
         np.testing.assert_allclose(track.velocities(dt=0.4)[:, 0], 5.0)
 
+    def test_slice_frames_at_track_end(self):
+        track = straight_track(start=2, length=8)  # frames [2, 10)
+        np.testing.assert_allclose(track.slice_frames(7, 10)[:, 0], [5.0, 6.0, 7.0])
+        with pytest.raises(ValueError, match=r"requested \[8, 11\)"):
+            track.slice_frames(8, 11)
+
+    def test_positions_coerced_to_float64(self):
+        track = AgentTrack(0, 0, [[1, 2], [3, 4]])
+        assert track.positions.dtype == np.float64
+
 
 class TestScene:
     def make_scene(self):
@@ -77,6 +87,12 @@ class TestScene:
         scene = self.make_scene()
         ids = {t.agent_id for t in scene.tracks_covering(5, 10)}
         assert ids == {0, 1}
+
+    def test_tracks_covering_uses_exclusive_end_frames(self):
+        scene = self.make_scene()  # tracks span [0, 10), [5, 15), [8, 12)
+        assert {t.agent_id for t in scene.tracks_covering(8, 10)} == {0, 1, 2}
+        assert {t.agent_id for t in scene.tracks_covering(8, 11)} == {1, 2}
+        assert {t.agent_id for t in scene.tracks_covering(12, 13)} == {1}
 
     def test_agents_at(self):
         scene = self.make_scene()

@@ -131,6 +131,21 @@ def test_package_reexport_is_not_a_cycle():
     assert lint("cyc", "clean", select={"REP-CYC"}) == []
 
 
+def test_seeding_module_is_not_exempt_from_det():
+    # det/violating seeds both global RNGs inside src/repro/utils/seeding.py;
+    # REP-DET exempts no module, so the seeding helpers are held to it too.
+    findings = lint("det", "violating", select={"REP-DET"})
+    seeding = [
+        (f.line, f.message.split(" — ")[0])
+        for f in findings
+        if f.file == "src/repro/utils/seeding.py"
+    ]
+    assert seeding == [
+        (8, "global stdlib RNG random.seed()"),
+        (9, "module-level numpy RNG np.random.seed()"),
+    ]
+
+
 def test_training_outside_serve_is_exempt_from_grad():
     # grad/clean has .backward() + Adam in src/repro/core/ — fine there.
     assert lint("grad", "clean", select={"REP-GRAD"}) == []

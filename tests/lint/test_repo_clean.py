@@ -4,8 +4,8 @@ This is the test CI's ``lint`` job duplicates from the shell
 (``python -m repro.lint --strict``).  If it fails, either fix the violation
 or — when the code is genuinely right — add a justified inline pragma
 (``# lint: disable=CODE(reason)``); the baseline stays empty by policy
-(see docs/lint.md).  One layout rule is checked here directly: no module
-under ``src/`` imports ``tests``.
+(see docs/lint.md).  Two layout rules are checked here directly: no module
+under ``src/`` imports ``tests``, and no reference oracle is defined there.
 """
 
 from __future__ import annotations
@@ -56,4 +56,18 @@ def test_src_never_imports_tests():
                 for module in modules
                 if module.split(".")[0] == "tests"
             ]
+    assert offenders == []
+
+
+def test_src_defines_no_reference_oracle():
+    # The slow reference implementations the fast paths are checked against
+    # (``*_reference``) are test code: tests/nn/oracles.py, tests/sim/oracles.py
+    # and the extractor tests.
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno} defines {node.name}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_reference")
+    ]
     assert offenders == []

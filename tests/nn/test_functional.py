@@ -35,6 +35,15 @@ class TestMaskedSoftmax:
         )
 
 
+class TestSoftmax:
+    def test_rows_sum_to_one_and_ignore_a_shift(self, rng):
+        logits = rng.normal(size=(3, 5))
+        shifted = logits + np.array([[0.0], [1000.0], [-1000.0]])
+        probs = F.softmax(Tensor(logits)).data
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(F.softmax(Tensor(shifted)).data, probs, atol=1e-12)
+
+
 class TestMaskedMean:
     def test_counts_only_valid(self):
         values = Tensor(np.array([[[1.0], [3.0], [100.0]]]))
@@ -47,6 +56,15 @@ class TestMaskedMean:
         mask = np.zeros((1, 3), dtype=bool)
         out = F.masked_mean(values, mask, axis=1)
         np.testing.assert_allclose(out.data, 0.0)
+
+
+    def test_gradient_skips_masked_entries(self):
+        values = Tensor(np.ones((2, 3, 1)), requires_grad=True)
+        mask = np.array([[True, True, False], [True, False, False]])
+        F.masked_mean(values, mask, axis=1).sum().backward()
+        np.testing.assert_allclose(
+            values.grad[..., 0], [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
+        )
 
 
 class TestLosses:
@@ -79,6 +97,20 @@ class TestLosses:
         with pytest.raises(ValueError):
             F.cross_entropy_with_logits(Tensor(np.zeros(3)), np.array([0]))
 
+    def test_mse_target_receives_no_gradient(self):
+        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        target = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        F.mse_loss(pred, target).backward()
+        np.testing.assert_allclose(pred.grad, [1.0, 1.0])
+        assert target.grad is None
+
+    def test_gaussian_kl_known_values(self):
+        zero = Tensor(np.zeros((2, 3)))
+        np.testing.assert_allclose(F.gaussian_kl(zero, zero).item(), 0.0)
+        # mu = 1, sigma = 1: 0.5 nats per dimension, summed over 3 dims.
+        one = Tensor(np.ones((2, 3)))
+        np.testing.assert_allclose(F.gaussian_kl(one, zero).item(), 1.5)
+
     def test_gaussian_kl_gradcheck(self, rng):
         mu = rng.normal(size=(2, 3))
         logvar = rng.normal(size=(2, 3)) * 0.3
@@ -103,6 +135,12 @@ class TestDropoutAndSampling:
         x = Tensor(np.ones((200, 200)))
         out = F.dropout(x, 0.3, rng, training=True)
         assert abs(out.data.mean() - 1.0) < 0.02
+
+    def test_dropout_p_zero_draws_nothing(self, rng):
+        x = Tensor(np.ones(4))
+        state = rng.bit_generator.state
+        assert F.dropout(x, 0.0, rng, training=True) is x
+        assert rng.bit_generator.state == state
 
     def test_dropout_rejects_p_one(self, rng):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Linear, Sequential, Tensor
+from repro.nn import MLP, Activation, Dropout, Linear, Sequential, Tensor
 
 from tests.nn.gradcheck import assert_gradients_close
 
@@ -67,6 +67,16 @@ class TestMLP:
         out = mlp(Tensor(rng.normal(size=(4, 3)) * 10))
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
+    def test_dropout_only_after_hidden_layers(self, rng):
+        mlp = MLP([4, 8, 8, 2], dropout_p=0.5, rng=rng)
+        assert [type(block) for block in mlp.net] == [
+            Linear, Activation, Dropout,
+            Linear, Activation, Dropout,
+            Linear, Activation,
+        ]
+        single = MLP([4, 2], dropout_p=0.5, rng=rng)
+        assert [type(block) for block in single.net] == [Linear, Activation]
+
     def test_unknown_activation_raises(self):
         with pytest.raises(ValueError, match="unknown activation"):
             MLP([2, 2], activation="swishh")
@@ -88,6 +98,24 @@ class TestMLP:
             opt.step()
             losses.append(loss.item())
         assert losses[-1] < 0.3 * losses[0]
+
+
+class TestActivation:
+    @pytest.mark.parametrize(
+        "name, reference",
+        [
+            ("relu", lambda x: np.maximum(x, 0.0)),
+            ("tanh", np.tanh),
+            ("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x))),
+            ("leaky_relu", lambda x: np.where(x > 0, x, 0.2 * x)),
+            ("identity", lambda x: x),
+        ],
+        ids=["relu", "tanh", "sigmoid", "leaky_relu", "identity"],
+    )
+    def test_matches_numpy(self, rng, name, reference):
+        x = rng.normal(size=(4, 5)) * 3
+        out = Activation(name)(Tensor(x))
+        np.testing.assert_allclose(out.data, reference(x), atol=1e-12, rtol=0)
 
 
 class TestDropoutLayer:

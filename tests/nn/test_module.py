@@ -59,6 +59,16 @@ class TestTraversal:
         assert len(model.heads) == 3
         assert all(isinstance(m, Linear) for m in model.heads)
 
+    def test_module_list_append_registers_parameters(self, rng):
+        model = Nested(rng)
+        head = Linear(4, 2, rng=rng)
+        model.heads.append(head)
+        params = dict(model.named_parameters())
+        assert params["heads.3.weight"] is head.weight
+        assert params["heads.3.bias"] is head.bias
+        assert model.heads[3] is head
+        assert list(model.heads)[-1] is head
+
     def test_named_modules_includes_nested(self, rng):
         model = Nested(rng)
         names = [n for n, _ in model.named_modules()]
@@ -85,6 +95,14 @@ class TestTrainingState:
         assert all(p.grad is None for p in model.parameters())
 
 
+    def test_astype_casts_parameters_and_drops_grads(self, rng):
+        model = Nested(rng)
+        model(Tensor(rng.normal(size=(2, 4)))).sum().backward()
+        model.astype(np.float32)
+        assert all(p.data.dtype == np.float32 for p in model.parameters())
+        assert all(p.grad is None for p in model.parameters())
+
+
 class TestStateDict:
     def test_roundtrip_restores_values(self, rng):
         model = Nested(rng)
@@ -106,6 +124,25 @@ class TestStateDict:
         del state["scale"]
         with pytest.raises(KeyError, match="missing"):
             model.load_state_dict(state)
+
+    def test_strict_unexpected_key_raises(self, rng):
+        model = Nested(rng)
+        state = model.state_dict()
+        state["experts.b.weight"] = np.zeros((4, 4))
+        with pytest.raises(KeyError, match=r"unexpected=\['experts.b.weight'\]"):
+            model.load_state_dict(state)
+
+    def test_load_writes_into_existing_buffers(self, rng):
+        """Loading keeps each parameter's dtype and buffer (an optimizer's
+        flat buffer may view it) and only overwrites the values."""
+        model = Nested(rng).astype(np.float32)
+        buffers = {name: p.data for name, p in model.named_parameters()}
+        state = Nested(np.random.default_rng(999)).state_dict()
+        model.load_state_dict(state)
+        for name, p in model.named_parameters():
+            assert p.data is buffers[name]
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(p.data, state[name].astype(np.float32))
 
     def test_non_strict_allows_partial(self, rng):
         model = Nested(rng)

@@ -223,6 +223,31 @@ class TestParameterGroups:
         np.testing.assert_allclose(a.data, [0.0])
         np.testing.assert_allclose(b.data, [1.0])
 
+    def test_zero_lr_scale_leaves_adam_state_untouched(self):
+        """A group scaled to zero is skipped outright: its moments and step
+        count do not advance, so its first real step is still size lr."""
+        a, b = quadratic_param(0.0), quadratic_param(0.0)
+        opt = Adam({"fast": [a], "slow": [b]}, lr=0.5)
+        opt.set_lr_scale("slow", 0.0)
+        for _ in range(3):
+            a.grad, b.grad = np.array([3.0]), np.array([3.0])
+            opt.step()
+        np.testing.assert_allclose(b.data, [0.0])
+        opt.set_lr_scale("slow", 1.0)
+        b.grad = np.array([3.0])
+        opt.step()
+        np.testing.assert_allclose(b.data, [-0.5], rtol=1e-6)
+
+    def test_unfrozen_group_resumes(self):
+        a, b, opt = self.make_groups()
+        opt.set_frozen("slow", True)
+        b.grad = np.array([1.0])
+        opt.step()
+        np.testing.assert_allclose(b.data, [1.0])
+        opt.set_frozen("slow", False)
+        opt.step()
+        np.testing.assert_allclose(b.data, [0.0])
+
     def test_unknown_group_raises(self):
         _, _, opt = self.make_groups()
         with pytest.raises(KeyError, match="nope"):

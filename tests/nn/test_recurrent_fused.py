@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.nn import LSTM, Tensor
+from repro.nn import LSTM, Tensor, default_dtype
 
 from tests.nn.gradcheck import assert_gradients_close
 from tests.nn.oracles import lstm_forward_reference
@@ -103,6 +103,39 @@ class TestLSTMFusedEquivalence:
         reference = partial(lstm_forward_reference, lstm)
         for fused, ref in zip(state_grads(lstm.forward), state_grads(reference)):
             np.testing.assert_allclose(fused, ref, atol=ATOL, rtol=0)
+
+    def test_final_cell_state_gradients_match_reference(self, rng):
+        """A loss on ``c`` alone reaches the fused node only through the
+        cell-state half of its output."""
+        lstm = LSTM(3, 4, rng=rng)
+        data = rng.normal(size=(2, 6, 3))
+        weights = rng.normal(size=(2, 4))
+
+        def grads(forward):
+            lstm.zero_grad()
+            x = Tensor(data, requires_grad=True)
+            _, (_, c) = forward(x)
+            (c * Tensor(weights)).sum().backward()
+            return {**_grads(lstm), "input": x.grad.copy()}
+
+        fused = grads(lstm.forward)
+        ref = grads(partial(lstm_forward_reference, lstm))
+        assert fused.keys() == ref.keys()
+        for name in fused:
+            np.testing.assert_allclose(
+                fused[name], ref[name], atol=ATOL, rtol=0,
+                err_msg=f"gradient mismatch for {name}",
+            )
+
+    def test_float32_forward_matches_reference(self, rng):
+        with default_dtype(np.float32):
+            lstm = LSTM(3, 6, rng=rng)
+            x = Tensor(rng.normal(size=(4, 7, 3)))
+            out_fused, (h_fused, c_fused) = lstm(x)
+            out_ref, (h_ref, c_ref) = lstm_forward_reference(lstm, x)
+        for fused, ref in ((out_fused, out_ref), (h_fused, h_ref), (c_fused, c_ref)):
+            assert fused.data.dtype == np.float32
+            np.testing.assert_allclose(fused.data, ref.data, atol=1e-6, rtol=0)
 
     def test_fused_sequence_gradcheck(self, rng):
         lstm = LSTM(2, 3, rng=rng)

@@ -96,6 +96,18 @@ class TestSyncFraming:
             a.close()
             b.close()
 
+    def test_mid_header_eof_raises(self):
+        import socket
+
+        a, b = socket.socketpair()
+        try:
+            a.sendall(protocol.encode_frame({"v": 1, "id": 1, "op": "health"})[:2])
+            a.close()
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                protocol.read_frame_sync(b)
+        finally:
+            b.close()
+
     def test_mid_frame_eof_raises(self):
         import socket
 
