@@ -1,10 +1,11 @@
-"""Script-mode path setup for the benchmark CLIs.
+"""Script-mode path setup for the benchmark scripts.
 
 When a ``benchmarks/bench_*.py`` file runs as a script, ``sys.path[0]`` is
 the ``benchmarks/`` directory itself — neither the repo root (for
-``benchmarks.conftest``) nor ``src`` (for ``repro``) is importable.  Each
-script imports this module first, guarded by ``__name__ == "__main__"``, so
-pytest runs (which already have the root on ``sys.path``) skip it.
+``benchmarks.*`` and the ``tests.*`` oracles) nor ``src`` (for ``repro``) is
+importable.  Each script imports this module first, guarded by
+``__name__ == "__main__"``, so pytest runs (which already have the root on
+``sys.path``) skip it.
 """
 
 import sys

@@ -1,6 +1,6 @@
 """Micro-benchmarks for the autograd/recurrent hot paths.
 
-Unlike the ``bench_table*`` / ``bench_figure*`` macro benchmarks (which
+Unlike ``python -m repro.experiments`` and ``bench_reproduction.py`` (which
 regenerate whole paper artifacts), this file times the individual kernels the
 training loop is built from, so BENCH trajectory files track wall-clock for:
 

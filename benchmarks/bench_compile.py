@@ -40,9 +40,9 @@ if __name__ == "__main__":  # script mode: put repo root + src on sys.path
 
 import numpy as np
 
-from benchmarks.cli import write_bench_json
 from repro.baselines import build_method
 from repro.data.dataset import Batch
+from repro.experiments.reporting import write_bench_json
 from repro.metrics import compare_samples
 from repro.models.decoder import RecurrentTrajectoryDecoder
 from repro.serve.predictor import Predictor

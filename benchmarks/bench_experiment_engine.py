@@ -7,8 +7,9 @@ Three contracts from the PR-3 issue, each held as a hard assertion:
    bit for bit at default ``DataConfig`` scale, for every domain.
 2. **Scene-generation speedup** — the vectorized generator beats the seed
    oracle's wall clock at default ``DataConfig`` scale across the four
-   domains.  The gate is >= 2x.  (The issue aimed for 3x, but the seed's
-   *inner physics step* was already numpy-vectorized and is shared cost:
+   domains.  The gate is >= 2x, on each arm's best time over
+   ``GENERATION_PAIRS`` alternating pairs.  (3x was the first aim, but the
+   seed's *inner physics step* was already numpy-vectorized and is shared cost:
    profiling shows the eliminated per-agent Python loops — goal checks,
    per-wall forces, per-agent frame recording — are only ~55-65%% of seed
    runtime, capping the achievable bit-identical speedup at ~2.2-2.9x here
@@ -37,6 +38,9 @@ from tests.sim.oracles import simulate_scene_reference
 
 MIN_GENERATION_SPEEDUP = 2.0
 MIN_PARALLEL_SPEEDUP = 1.5
+#: Alternating (vectorized, oracle) timing pairs behind the generation gate;
+#: best-of-2 per arm, timed back to back, read 1.52-2.42x on a 2-CPU host.
+GENERATION_PAIRS = 7
 
 
 # ----------------------------------------------------------------------
@@ -60,13 +64,20 @@ def _generate_all_domains(simulate):
     return scenes
 
 
-def _best_of(workload, repeats: int = 2) -> tuple[float, list]:
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = workload()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _alternating_best(arms: dict, pairs: int = GENERATION_PAIRS) -> dict:
+    """Best wall clock and last output of each arm's workload, timed in
+    ``pairs`` alternating pairs whose order flips every pair, so host noise
+    (CPU steal, another process) lands on both arms alike."""
+    best = {name: float("inf") for name in arms}
+    outputs = {}
+    order = list(arms)
+    for _ in range(pairs):
+        for name in order:
+            start = time.perf_counter()
+            outputs[name] = arms[name]()
+            best[name] = min(best[name], time.perf_counter() - start)
+        order.reverse()
+    return {name: (best[name], outputs[name]) for name in arms}
 
 
 def test_scene_generation_golden_and_speedup():
@@ -74,10 +85,14 @@ def test_scene_generation_golden_and_speedup():
     simulate_scene("lcas", num_frames=25, rng=0)
     simulate_scene_reference("lcas", num_frames=25, rng=0)
 
-    fast_seconds, fast_scenes = _best_of(lambda: _generate_all_domains(simulate_scene))
-    ref_seconds, ref_scenes = _best_of(
-        lambda: _generate_all_domains(simulate_scene_reference)
+    timed = _alternating_best(
+        {
+            "fast": lambda: _generate_all_domains(simulate_scene),
+            "oracle": lambda: _generate_all_domains(simulate_scene_reference),
+        }
     )
+    fast_seconds, fast_scenes = timed["fast"]
+    ref_seconds, ref_scenes = timed["oracle"]
 
     for fast, ref in zip(fast_scenes, ref_scenes):
         assert scenes_equal(fast, ref), (
@@ -87,7 +102,8 @@ def test_scene_generation_golden_and_speedup():
 
     speedup = ref_seconds / fast_seconds
     print(
-        f"\nscene generation (default DataConfig, {len(fast_scenes)} scenes): "
+        f"\nscene generation (default DataConfig, {len(fast_scenes)} scenes, "
+        f"best of {GENERATION_PAIRS} alternating pairs): "
         f"oracle {ref_seconds:.3f}s, vectorized {fast_seconds:.3f}s "
         f"-> {speedup:.2f}x"
     )

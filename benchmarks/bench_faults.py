@@ -35,7 +35,7 @@ if __name__ == "__main__":  # script mode: put repo root + src on sys.path
 import numpy as np
 
 from benchmarks.bench_server import SEED, make_predictor, request_payload
-from benchmarks.cli import write_bench_json
+from repro.experiments.reporting import write_bench_json
 from repro.serve import (
     AsyncServingServer,
     FaultPlan,

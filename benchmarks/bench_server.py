@@ -56,6 +56,7 @@ import time
 import numpy as np
 
 from repro.baselines import build_method
+from repro.experiments.reporting import provenance
 from repro.serve import (
     AsyncServingServer,
     Predictor,
@@ -537,12 +538,7 @@ def bench(blocks: int = 2) -> dict:
 
 
 def write_results(stats: dict) -> None:
-    try:  # stamp run provenance when the benchmarks package is importable
-        from benchmarks.cli import provenance
-
-        stats = {**stats, "provenance": provenance()}
-    except ImportError:  # bare script mode without the repo root on sys.path
-        pass
+    stats = {**stats, "provenance": provenance()}
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "bench_server.json"), "w") as fh:
         json.dump(stats, fh, indent=2)

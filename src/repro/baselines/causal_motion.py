@@ -16,14 +16,11 @@ domains — reported in the AdapTraj paper's Tables III–V.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import LearningMethod
 from repro.core.config import TrainConfig
 from repro.data.dataset import Batch
 from repro.models.base import TrajectoryBackbone
 from repro.nn import Tensor
-from repro.nn import functional as F
 
 __all__ = ["CausalMotionMethod"]
 

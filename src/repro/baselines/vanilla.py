@@ -7,8 +7,6 @@ generalization machinery.  This is the ``vanilla`` row of Tables IV–VI.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import LearningMethod
 from repro.data.dataset import Batch
 from repro.nn import Tensor

@@ -11,7 +11,7 @@ epochs -> 0.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["AdapTrajConfig", "TrainConfig"]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.method import LearningMethod, StepContext
 from repro.core.adaptraj import AdapTrajModel
-from repro.core.config import AdapTrajConfig, TrainConfig
+from repro.core.config import TrainConfig
 from repro.data.dataset import Batch, TrajectoryDataset
 from repro.nn import Parameter, Tensor
 

@@ -63,10 +63,6 @@ class AgentTrack:
         offset = start - self.start_frame
         return self.positions[offset : offset + (stop - start)]
 
-    def velocities(self, dt: float = 1.0) -> np.ndarray:
-        """Per-frame velocity estimates, shape ``[T-1, 2]``."""
-        return np.diff(self.positions, axis=0) / dt
-
 
 @dataclass
 class Scene:

@@ -4,9 +4,11 @@ The reproduction engine: :func:`run_experiment` is the atomic
 train-and-evaluate unit, :mod:`~repro.experiments.runner` executes declared
 :class:`RunSpec` grids serially or process-parallel (bit-identical either
 way), and :mod:`~repro.experiments.tables` / :mod:`~repro.experiments.figures`
-assemble the runs into every paper artifact.  ``docs/reproducing.md`` maps
-each table/figure to its generator here and its benchmark command;
-``docs/architecture.md`` §4 states the engine's invariants.
+assemble the runs into every paper artifact; ``python -m repro.experiments``
+(:mod:`~repro.experiments.cli`) regenerates any set of them from one run of
+their grids' union.  ``docs/reproducing.md`` lists the
+artifacts and the command; ``docs/architecture.md`` §4 states the engine's
+invariants.
 """
 
 from repro.experiments.figures import (

@@ -5,22 +5,29 @@ rendered as ASCII bar charts and persisted as JSON — the numpy-only
 environment has no plotting stack, and the series are what reproduction
 verifies (who wins, and how each hyperparameter bends the curve).
 
-Like the tables, each figure declares its grid of independent runs as
-:class:`repro.experiments.runner.RunSpec` and submits it to the experiment
-runner (``jobs > 1`` executes on a process pool with bit-identical results).
+Like the tables, each figure is declared once by a private ``_figureN``
+that returns its grid of independent runs
+(:class:`repro.experiments.runner.RunSpec`) and the assembly of their
+results; the public generator runs its own grid (``jobs > 1`` executes on a
+process pool with bit-identical results), and ``python -m
+repro.experiments`` assembles the figure from the union of every requested
+artifact's runs (:data:`FIGURES` names the declarations).
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import AdapTrajConfig
 from repro.experiments.harness import RunResult
 from repro.experiments.reporting import save_json
-from repro.experiments.runner import RunSpec, run_grid_report
+from repro.experiments.runner import Declaration, RunSpec, run_declared
 from repro.experiments.scales import ExperimentScale, get_scale
 
 __all__ = [
+    "FIGURES",
     "FigureResult",
     "ascii_bar_chart",
     "figure3_source_domains",
@@ -81,13 +88,11 @@ def _scale(scale: ExperimentScale | str) -> ExperimentScale:
 # ----------------------------------------------------------------------
 # Figure 3 — AdapTraj on various numbers of source domains
 # ----------------------------------------------------------------------
-def figure3_source_domains(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
+def _figure3(
+    scale: ExperimentScale | str,
+    seed: int,
     backbones: tuple[str, ...] = ("lbebm", "pecnet"),
-    jobs: int | None = 1,
-) -> FigureResult:
-    """ADE of {LBEBM,PECNet}-AdapTraj vs the source-domain set (paper Fig. 3)."""
+) -> Declaration:
     scale = _scale(scale)
     source_sets = [
         ("SDD", ("sdd",)),
@@ -100,22 +105,35 @@ def figure3_source_domains(
         for backbone in backbones
         for _, sources in source_sets
     ]
-    report = run_grid_report(grid, jobs=jobs)
-    results = iter(report.results)
-    series: dict[str, list[tuple[str, float, float]]] = {}
-    for backbone in backbones:
-        points = []
-        for set_label, _ in source_sets:
-            result = next(results)
-            points.append((set_label, result.ade, result.fde))
-        series[f"{backbone.upper()}-AdapTraj"] = points
-    return FigureResult(
-        name="figure3_source_domains",
-        title="Figure 3: AdapTraj ADE on SDD vs source-domain set",
-        series=series,
-        runs=report.results,
-        meta=report.meta(),
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> FigureResult:
+        results = iter(runs)
+        series: dict[str, list[tuple[str, float, float]]] = {}
+        for backbone in backbones:
+            points = []
+            for set_label, _ in source_sets:
+                result = next(results)
+                points.append((set_label, result.ade, result.fde))
+            series[f"{backbone.upper()}-AdapTraj"] = points
+        return FigureResult(
+            name="figure3_source_domains",
+            title="Figure 3: AdapTraj ADE on SDD vs source-domain set",
+            series=series,
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def figure3_source_domains(
+    scale: ExperimentScale | str = "tiny",
+    seed: int = 0,
+    backbones: tuple[str, ...] = ("lbebm", "pecnet"),
+    jobs: int | None = 1,
+) -> FigureResult:
+    """ADE of {LBEBM,PECNet}-AdapTraj vs the source-domain set (paper Fig. 3)."""
+    return run_declared(_figure3(scale, seed, backbones), jobs)
 
 
 # ----------------------------------------------------------------------
@@ -151,20 +169,13 @@ def _sweep_config(base_config: AdapTrajConfig, parameter: str, value: float) -> 
     return replace(base_config, **{parameter: value})
 
 
-def figure4_sensitivity(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
+def _figure4(
+    scale: ExperimentScale | str,
+    seed: int,
     backbones: tuple[str, ...] = ("pecnet", "lbebm"),
     parameters: tuple[str, ...] = tuple(SWEEPS),
     sweeps: dict[str, list[float]] | None = None,
-    jobs: int | None = 1,
-) -> dict[str, FigureResult]:
-    """One :class:`FigureResult` per swept hyperparameter (paper Fig. 4a–f).
-
-    The full sweep (all parameters x values x backbones) is submitted as one
-    grid, so ``jobs > 1`` parallelizes across the whole figure, not per
-    panel.
-    """
+) -> Declaration:
     scale = _scale(scale)
     sweeps = sweeps or SWEEPS
     unknown = set(parameters) - set(sweeps)
@@ -186,25 +197,53 @@ def figure4_sensitivity(
         for backbone in backbones
         for value in sweeps[parameter]
     ]
-    report = run_grid_report(grid, jobs=jobs)
-    results = iter(report.results)
 
-    figures: dict[str, FigureResult] = {}
-    for parameter in parameters:
-        series: dict[str, list[tuple[str, float, float]]] = {}
-        runs: list[RunResult] = []
-        for backbone in backbones:
-            points = []
-            for value in sweeps[parameter]:
-                result = next(results)
-                runs.append(result)
-                points.append((f"{value:g}", result.ade, result.fde))
-            series[f"{backbone.upper()}-AdapTraj"] = points
-        figures[parameter] = FigureResult(
-            name=f"figure4_{parameter}",
-            title=f"Figure 4: sensitivity of ADE/FDE to {parameter}",
-            series=series,
-            runs=runs,
-            meta=report.meta(),
-        )
-    return figures
+    def assemble(runs: list[RunResult], meta: dict) -> dict[str, FigureResult]:
+        results = iter(runs)
+        figures: dict[str, FigureResult] = {}
+        for parameter in parameters:
+            series: dict[str, list[tuple[str, float, float]]] = {}
+            panel_runs: list[RunResult] = []
+            for backbone in backbones:
+                points = []
+                for value in sweeps[parameter]:
+                    result = next(results)
+                    panel_runs.append(result)
+                    points.append((f"{value:g}", result.ade, result.fde))
+                series[f"{backbone.upper()}-AdapTraj"] = points
+            figures[parameter] = FigureResult(
+                name=f"figure4_{parameter}",
+                title=f"Figure 4: sensitivity of ADE/FDE to {parameter}",
+                series=series,
+                runs=panel_runs,
+                meta=dict(meta),
+            )
+        return figures
+
+    return grid, assemble
+
+
+def figure4_sensitivity(
+    scale: ExperimentScale | str = "tiny",
+    seed: int = 0,
+    backbones: tuple[str, ...] = ("pecnet", "lbebm"),
+    parameters: tuple[str, ...] = tuple(SWEEPS),
+    sweeps: dict[str, list[float]] | None = None,
+    jobs: int | None = 1,
+) -> dict[str, FigureResult]:
+    """One :class:`FigureResult` per swept hyperparameter (paper Fig. 4a–f).
+
+    The full sweep (all parameters x values x backbones) is submitted as one
+    grid, so ``jobs > 1`` parallelizes across the whole figure, not per
+    panel.
+    """
+    return run_declared(_figure4(scale, seed, backbones, parameters, sweeps), jobs)
+
+
+#: Every figure's declaration at ``(scale, seed)``, by its artifact name in
+#: ``python -m repro.experiments``.  Figure 4 there sweeps the PECNet panels
+#: only: 18 runs at the tiny scale instead of 36 with LBEBM.
+FIGURES: dict[str, Callable[[ExperimentScale | str, int], Declaration]] = {
+    "figure3": _figure3,
+    "figure4": functools.partial(_figure4, backbones=("pecnet",)),
+}

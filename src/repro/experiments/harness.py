@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.baselines import build_method
 from repro.core.config import AdapTrajConfig
 from repro.data.registry import load_domain_dataset, load_multi_domain

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import AdapTrajConfig
 from repro.data import registry
@@ -37,10 +38,12 @@ from repro.experiments.harness import RunResult, run_experiment
 from repro.experiments.scales import ExperimentScale, get_scale
 
 __all__ = [
+    "Declaration",
     "GridReport",
     "RunSpec",
     "execute_spec",
     "resolve_jobs",
+    "run_declared",
     "run_grid",
     "run_grid_report",
     "usable_cpu_count",
@@ -209,6 +212,20 @@ def run_grid(
     any new nondeterministic field out of ``signature()``.
 
     Use :func:`run_grid_report` for the same execution plus wall-clock
-    accounting (the ``meta`` block the benchmark CLIs persist).
+    accounting (the ``meta`` block persisted into ``results/<name>.json``).
     """
     return run_grid_report(specs, jobs=jobs, warm_cache=warm_cache).results
+
+
+#: One paper artifact, declared: its grid of runs, and the assembly of the
+#: grid's results (in grid order) plus a timing ``meta`` block into the
+#: artifact.  ``python -m repro.experiments`` runs the union of several
+#: declarations' grids once and hands each assembly its share.
+Declaration = tuple[list[RunSpec], Callable[[list[RunResult], dict], object]]
+
+
+def run_declared(declaration: Declaration, jobs: int | None = 1):
+    """Run one declared artifact's grid on its own and assemble the artifact."""
+    grid, assemble = declaration
+    report = run_grid_report(grid, jobs=jobs)
+    return assemble(report.results, report.meta())

@@ -1,12 +1,14 @@
 """Generators for every table of the paper's evaluation (Tables I–VIII).
 
-Each ``tableN_*`` function *declares* the grid of independent runs behind
-one paper table as a list of :class:`repro.experiments.runner.RunSpec`,
-submits it to :func:`repro.experiments.runner.run_grid` (serial by default,
-process-parallel with ``jobs > 1`` — results are bit-identical either way),
-and assembles the returned runs into a :class:`TableResult` holding the
-rendered ASCII table plus the raw numbers; the matching benchmark in
-``benchmarks/`` regenerates it and writes the output under ``results/``.
+Each table is *declared* once, by a private ``_tableN(scale, seed, ...)``
+that returns its grid of independent runs (a list of
+:class:`repro.experiments.runner.RunSpec`) and the assembly of that grid's
+results into a :class:`TableResult` holding the rendered ASCII table plus
+the raw numbers.  The public ``tableN_*`` function runs its own grid
+(serial by default, process-parallel with ``jobs > 1`` — results are
+bit-identical either way) and assembles it; ``python -m repro.experiments``
+runs the union of several tables' grids once and assembles each from the
+shared results (:data:`TABLES` names the declarations).
 
 Domain-name mapping between the paper and the synthetic domains:
 ``ETH&UCY -> eth_ucy``, ``L-CAS -> lcas``, ``SYI -> syi``, ``SDD -> sdd``.
@@ -14,17 +16,19 @@ Domain-name mapping between the paper and the synthetic domains:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.experiments.harness import RunResult
 from repro.experiments.reporting import format_table, save_json, save_table
-from repro.experiments.runner import RunSpec, run_grid_report
+from repro.experiments.runner import Declaration, RunSpec, run_declared
 from repro.experiments.scales import ExperimentScale, get_scale
 from repro.metrics.statistics import compute_statistics
 from repro.sim.domains import DOMAIN_NAMES
 from repro.sim.generator import generate_scenes
 
 __all__ = [
+    "TABLES",
     "TableResult",
     "table1_dataset_statistics",
     "table2_domain_shift",
@@ -82,19 +86,30 @@ def _sources_for(target: str) -> list[str]:
     return [d for d in DOMAIN_NAMES if d != target]
 
 
-def _run(specs: list[RunSpec], jobs: int | None) -> tuple[list[RunResult], dict]:
-    """Execute a declared grid and return (ordered results, timing meta)."""
-    report = run_grid_report(specs, jobs=jobs)
-    return report.results, report.meta()
+def _method_rows(
+    backbones: tuple[str, ...],
+    methods: tuple[str, ...],
+    columns: list[str] | tuple[str, ...],
+    runs: list[RunResult],
+) -> list[list[object]]:
+    """One row per (backbone, method): an ADE/FDE cell per column, then their average."""
+    results = iter(runs)
+    rows = []
+    for backbone in backbones:
+        for method in methods:
+            cells = [next(results) for _ in columns]
+            ade = sum(result.ade for result in cells) / len(cells)
+            fde = sum(result.fde for result in cells) / len(cells)
+            rows.append(
+                [backbone, method, *(_fmt(r.ade, r.fde) for r in cells), _fmt(ade, fde)]
+            )
+    return rows
 
 
 # ----------------------------------------------------------------------
 # Table I — dataset statistics
 # ----------------------------------------------------------------------
-def table1_dataset_statistics(
-    scale: ExperimentScale | str = "tiny", seed: int = 0
-) -> TableResult:
-    """Statistical analysis of the four (synthetic) datasets (paper Table I)."""
+def _table1(scale: ExperimentScale | str, seed: int) -> Declaration:
     scale = _scale(scale).with_seed(seed)
     headers = [
         "Datasets",
@@ -105,32 +120,42 @@ def table1_dataset_statistics(
         "Avg/Std a(x)",
         "Avg/Std a(y)",
     ]
-    rows = []
-    for i, domain in enumerate(DOMAIN_NAMES):
-        scenes = generate_scenes(
-            domain,
-            num_scenes=scale.data.num_scenes,
-            frames_per_scene=scale.data.frames_per_scene,
-            rng=scale.data.seed + i,
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        rows = []
+        for i, domain in enumerate(DOMAIN_NAMES):
+            scenes = generate_scenes(
+                domain,
+                num_scenes=scale.data.num_scenes,
+                frames_per_scene=scale.data.frames_per_scene,
+                rng=scale.data.seed + i,
+            )
+            stats = compute_statistics(scenes).as_row()
+            rows.append([stats[h] if h in stats else stats["domain"] for h in headers[1:]])
+            rows[-1].insert(0, domain)
+        return TableResult(
+            name="table1_statistics",
+            title="Table I: statistics of the four synthetic domains",
+            headers=headers,
+            rows=rows,
+            meta=meta,
         )
-        stats = compute_statistics(scenes).as_row()
-        rows.append([stats[h] if h in stats else stats["domain"] for h in headers[1:]])
-        rows[-1].insert(0, domain)
-    return TableResult(
-        name="table1_statistics",
-        title="Table I: statistics of the four synthetic domains",
-        headers=headers,
-        rows=rows,
-    )
+
+    return [], assemble
+
+
+def table1_dataset_statistics(
+    scale: ExperimentScale | str = "tiny", seed: int = 0
+) -> TableResult:
+    """Statistical analysis of the four (synthetic) datasets (paper Table I)."""
+    _, assemble = _table1(scale, seed)
+    return assemble([], {})
 
 
 # ----------------------------------------------------------------------
 # Table II — cross-domain performance decline
 # ----------------------------------------------------------------------
-def table2_domain_shift(
-    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
-) -> TableResult:
-    """Existing methods trained on SDD vs ETH&UCY, tested on SDD (paper Table II)."""
+def _table2(scale: ExperimentScale | str, seed: int) -> Declaration:
     scale = _scale(scale)
     columns = [
         ("lbebm", "vanilla", "LBEBM"),
@@ -144,32 +169,39 @@ def table2_domain_shift(
         for source in sources
         for backbone, method, _ in columns
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for source in sources:
-        row: list[object] = [source]
-        for _ in columns:
-            result = next(results)
-            row.append(_fmt(result.ade, result.fde))
-        rows.append(row)
-    return TableResult(
-        name="table2_domain_shift",
-        title="Table II: ADE/FDE on SDD when trained on the same vs a different domain",
-        headers=["Source Domain", *[label for *_, label in columns]],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        results = iter(runs)
+        rows = []
+        for source in sources:
+            row: list[object] = [source]
+            for _ in columns:
+                result = next(results)
+                row.append(_fmt(result.ade, result.fde))
+            rows.append(row)
+        return TableResult(
+            name="table2_domain_shift",
+            title="Table II: ADE/FDE on SDD when trained on the same vs a different domain",
+            headers=["Source Domain", *[label for *_, label in columns]],
+            rows=rows,
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table2_domain_shift(
+    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
+) -> TableResult:
+    """Existing methods trained on SDD vs ETH&UCY, tested on SDD (paper Table II)."""
+    return run_declared(_table2(scale, seed), jobs)
 
 
 # ----------------------------------------------------------------------
 # Table III — negative transfer
 # ----------------------------------------------------------------------
-def table3_negative_transfer(
-    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
-) -> TableResult:
-    """Single-source DG methods on growing source sets, tested on SDD (Table III)."""
+def _table3(scale: ExperimentScale | str, seed: int) -> Declaration:
     scale = _scale(scale)
     source_sets = [
         ("eth_ucy",),
@@ -182,37 +214,45 @@ def table3_negative_transfer(
         for sources in source_sets
         for method in methods
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for sources in source_sets:
-        row: list[object] = [", ".join(sources)]
-        for _ in methods:
-            result = next(results)
-            row.append(_fmt(result.ade, result.fde))
-        rows.append(row)
-    return TableResult(
-        name="table3_negative_transfer",
-        title="Table III: single-source DG methods degrade as source domains are added",
-        headers=["Source Domains", "Counter", "CausalMotion"],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        results = iter(runs)
+        rows = []
+        for sources in source_sets:
+            row: list[object] = [", ".join(sources)]
+            for _ in methods:
+                result = next(results)
+                row.append(_fmt(result.ade, result.fde))
+            rows.append(row)
+        return TableResult(
+            name="table3_negative_transfer",
+            title="Table III: single-source DG methods degrade as source domains are added",
+            headers=["Source Domains", "Counter", "CausalMotion"],
+            rows=rows,
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table3_negative_transfer(
+    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
+) -> TableResult:
+    """Single-source DG methods on growing source sets, tested on SDD (Table III)."""
+    return run_declared(_table3(scale, seed), jobs)
 
 
 # ----------------------------------------------------------------------
 # Table IV — main multi-source comparison
 # ----------------------------------------------------------------------
-def table4_main_comparison(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
+def _table4(
+    scale: ExperimentScale | str,
+    seed: int,
     backbones: tuple[str, ...] = BACKBONES,
     methods: tuple[str, ...] = METHODS,
     targets: tuple[str, ...] = DOMAIN_NAMES,
-    jobs: int | None = 1,
-) -> TableResult:
-    """Leave-one-domain-out comparison of all methods (paper Table IV)."""
+) -> Declaration:
     scale = _scale(scale)
     grid = [
         RunSpec(
@@ -227,41 +267,41 @@ def table4_main_comparison(
         for method in methods
         for target in targets
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for backbone in backbones:
-        for method in methods:
-            row: list[object] = [backbone, method]
-            ades, fdes = [], []
-            for _ in targets:
-                result = next(results)
-                ades.append(result.ade)
-                fdes.append(result.fde)
-                row.append(_fmt(result.ade, result.fde))
-            row.append(_fmt(sum(ades) / len(ades), sum(fdes) / len(fdes)))
-            rows.append(row)
-    return TableResult(
-        name="table4_main_comparison",
-        title="Table IV: multi-source domain generalization (ADE/FDE per target domain)",
-        headers=["Backbone", "Method", *targets, "Average"],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        return TableResult(
+            name="table4_main_comparison",
+            title="Table IV: multi-source domain generalization (ADE/FDE per target domain)",
+            headers=["Backbone", "Method", *targets, "Average"],
+            rows=_method_rows(backbones, methods, targets, runs),
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table4_main_comparison(
+    scale: ExperimentScale | str = "tiny",
+    seed: int = 0,
+    backbones: tuple[str, ...] = BACKBONES,
+    methods: tuple[str, ...] = METHODS,
+    targets: tuple[str, ...] = DOMAIN_NAMES,
+    jobs: int | None = 1,
+) -> TableResult:
+    """Leave-one-domain-out comparison of all methods (paper Table IV)."""
+    return run_declared(_table4(scale, seed, backbones, methods, targets), jobs)
 
 
 # ----------------------------------------------------------------------
 # Table V — single-source domain generalization
 # ----------------------------------------------------------------------
-def table5_single_source(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
+def _table5(
+    scale: ExperimentScale | str,
+    seed: int,
     backbones: tuple[str, ...] = BACKBONES,
     methods: tuple[str, ...] = METHODS,
-    jobs: int | None = 1,
-) -> TableResult:
-    """Each dataset as the single source, evaluated on SDD (paper Table V)."""
+) -> Declaration:
     scale = _scale(scale)
     sources = [d for d in DOMAIN_NAMES if d != "sdd"]
     grid = [
@@ -270,37 +310,35 @@ def table5_single_source(
         for method in methods
         for source in sources
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for backbone in backbones:
-        for method in methods:
-            row: list[object] = [backbone, method]
-            ades, fdes = [], []
-            for _ in sources:
-                result = next(results)
-                ades.append(result.ade)
-                fdes.append(result.fde)
-                row.append(_fmt(result.ade, result.fde))
-            row.append(_fmt(sum(ades) / len(ades), sum(fdes) / len(fdes)))
-            rows.append(row)
-    return TableResult(
-        name="table5_single_source",
-        title="Table V: single-source domain generalization onto SDD (ADE/FDE)",
-        headers=["Backbone", "Method", *sources, "Average"],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        return TableResult(
+            name="table5_single_source",
+            title="Table V: single-source domain generalization onto SDD (ADE/FDE)",
+            headers=["Backbone", "Method", *sources, "Average"],
+            rows=_method_rows(backbones, methods, sources, runs),
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table5_single_source(
+    scale: ExperimentScale | str = "tiny",
+    seed: int = 0,
+    backbones: tuple[str, ...] = BACKBONES,
+    methods: tuple[str, ...] = METHODS,
+    jobs: int | None = 1,
+) -> TableResult:
+    """Each dataset as the single source, evaluated on SDD (paper Table V)."""
+    return run_declared(_table5(scale, seed, backbones, methods), jobs)
 
 
 # ----------------------------------------------------------------------
 # Table VI — number of source domains (PECNet)
 # ----------------------------------------------------------------------
-def table6_source_count(
-    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
-) -> TableResult:
-    """PECNet vs PECNet-AdapTraj across source-domain counts (paper Table VI)."""
+def _table6(scale: ExperimentScale | str, seed: int) -> Declaration:
     scale = _scale(scale)
     source_sets = [("sdd",), ("eth_ucy",), ("eth_ucy", "lcas")]
     variants = (("vanilla", "PECNet"), ("adaptraj", "PECNet-AdapTraj"))
@@ -309,35 +347,41 @@ def table6_source_count(
         for method, _ in variants
         for sources in source_sets
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for _, label in variants:
-        for sources in source_sets:
-            result = next(results)
-            rows.append(
-                [label, ", ".join(sources), f"{result.ade:.3f}", f"{result.fde:.3f}"]
-            )
-    return TableResult(
-        name="table6_source_count",
-        title="Table VI: performance on various numbers of source domains (target SDD)",
-        headers=["Method", "Source Domains", "ADE", "FDE"],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        results = iter(runs)
+        rows = []
+        for _, label in variants:
+            for sources in source_sets:
+                result = next(results)
+                rows.append(
+                    [label, ", ".join(sources), f"{result.ade:.3f}", f"{result.fde:.3f}"]
+                )
+        return TableResult(
+            name="table6_source_count",
+            title="Table VI: performance on various numbers of source domains (target SDD)",
+            headers=["Method", "Source Domains", "ADE", "FDE"],
+            rows=rows,
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table6_source_count(
+    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
+) -> TableResult:
+    """PECNet vs PECNet-AdapTraj across source-domain counts (paper Table VI)."""
+    return run_declared(_table6(scale, seed), jobs)
 
 
 # ----------------------------------------------------------------------
 # Table VII — ablation study
 # ----------------------------------------------------------------------
-def table7_ablation(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
-    backbones: tuple[str, ...] = BACKBONES,
-    jobs: int | None = 1,
-) -> TableResult:
-    """AdapTraj variants w/o specific and w/o invariant features (paper Table VII)."""
+def _table7(
+    scale: ExperimentScale | str, seed: int, backbones: tuple[str, ...] = BACKBONES
+) -> Declaration:
     scale = _scale(scale)
     variants = [("no_specific", "w/o specific"), ("no_invariant", "w/o invariant"), ("full", "ours")]
     grid = [
@@ -353,40 +397,45 @@ def table7_ablation(
         for backbone in backbones
         for variant, _ in variants
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for backbone in backbones:
-        for _, label in variants:
-            result = next(results)
-            rows.append([backbone, label, f"{result.ade:.3f}", f"{result.fde:.3f}"])
-    return TableResult(
-        name="table7_ablation",
-        title="Table VII: ablation with target SDD, sources ETH&UCY + L-CAS + SYI",
-        headers=["Backbone", "Variant", "ADE", "FDE"],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        results = iter(runs)
+        rows = []
+        for backbone in backbones:
+            for _, label in variants:
+                result = next(results)
+                rows.append([backbone, label, f"{result.ade:.3f}", f"{result.fde:.3f}"])
+        return TableResult(
+            name="table7_ablation",
+            title="Table VII: ablation with target SDD, sources ETH&UCY + L-CAS + SYI",
+            headers=["Backbone", "Variant", "ADE", "FDE"],
+            rows=rows,
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table7_ablation(
+    scale: ExperimentScale | str = "tiny",
+    seed: int = 0,
+    backbones: tuple[str, ...] = BACKBONES,
+    jobs: int | None = 1,
+) -> TableResult:
+    """AdapTraj variants w/o specific and w/o invariant features (paper Table VII)."""
+    return run_declared(_table7(scale, seed, backbones), jobs)
 
 
 # ----------------------------------------------------------------------
 # Table VIII — inference time
 # ----------------------------------------------------------------------
-def table8_inference_time(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
+def _table8(
+    scale: ExperimentScale | str,
+    seed: int,
     backbones: tuple[str, ...] = BACKBONES,
     methods: tuple[str, ...] = METHODS,
-    jobs: int | None = 1,
-) -> TableResult:
-    """Average per-batch inference time per method (paper Table VIII).
-
-    Note: the *measurements* here are wall-clock and therefore not part of
-    the serial-vs-parallel determinism contract; running this table with
-    ``jobs > 1`` shares cores between concurrently-timed runs, so keep
-    ``jobs=1`` when the absolute latencies matter.
-    """
+) -> Declaration:
     scale = _scale(scale)
     grid = [
         RunSpec(
@@ -401,18 +450,53 @@ def table8_inference_time(
         for backbone in backbones
         for method in methods
     ]
-    runs, meta = _run(grid, jobs)
-    results = iter(runs)
-    rows = []
-    for backbone in backbones:
-        for method in methods:
-            result = next(results)
-            rows.append([backbone, method, f"{result.inference_seconds:.4f}"])
-    return TableResult(
-        name="table8_inference_time",
-        title="Table VIII: average inference time (seconds per batch, target SDD)",
-        headers=["Backbone", "Method", "Inference time (s)"],
-        rows=rows,
-        runs=runs,
-        meta=meta,
-    )
+
+    def assemble(runs: list[RunResult], meta: dict) -> TableResult:
+        results = iter(runs)
+        rows = []
+        for backbone in backbones:
+            for method in methods:
+                result = next(results)
+                rows.append([backbone, method, f"{result.inference_seconds:.4f}"])
+        return TableResult(
+            name="table8_inference_time",
+            title="Table VIII: average inference time (seconds per batch, target SDD)",
+            headers=["Backbone", "Method", "Inference time (s)"],
+            rows=rows,
+            runs=runs,
+            meta=meta,
+        )
+
+    return grid, assemble
+
+
+def table8_inference_time(
+    scale: ExperimentScale | str = "tiny",
+    seed: int = 0,
+    backbones: tuple[str, ...] = BACKBONES,
+    methods: tuple[str, ...] = METHODS,
+    jobs: int | None = 1,
+) -> TableResult:
+    """Average per-batch inference time per method (paper Table VIII).
+
+    Note: the *measurements* here are wall-clock and therefore not part of
+    the serial-vs-parallel determinism contract; running this table with
+    ``jobs > 1`` shares cores between concurrently-timed runs, so keep
+    ``jobs=1`` when the absolute latencies matter.  ``python -m
+    repro.experiments`` always runs these specs serially.
+    """
+    return run_declared(_table8(scale, seed, backbones, methods), jobs)
+
+
+#: Every table's declaration at ``(scale, seed)``, by its artifact name in
+#: ``python -m repro.experiments``.
+TABLES: dict[str, Callable[[ExperimentScale | str, int], Declaration]] = {
+    "table1": _table1,
+    "table2": _table2,
+    "table3": _table3,
+    "table4": _table4,
+    "table5": _table5,
+    "table6": _table6,
+    "table7": _table7,
+    "table8": _table8,
+}

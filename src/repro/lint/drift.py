@@ -25,7 +25,6 @@ from repro.lint.core import (
     Checker,
     Finding,
     LintContext,
-    dotted_chain,
     module_str_constants,
     register,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn._tracer import trace as _trace
-from repro.nn.tensor import Tensor, as_tensor, cat, where
+from repro.nn.tensor import Tensor, as_tensor, where
 
 __all__ = [
     "cross_entropy_with_logits",

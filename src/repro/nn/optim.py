@@ -15,7 +15,7 @@ to the per-parameter formula (see :class:`_FlatGroup`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

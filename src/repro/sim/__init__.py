@@ -23,12 +23,7 @@ from repro.sim.scenarios import (
     Scenario,
     SpawnEvent,
 )
-from repro.sim.social_force import (
-    AgentBatch,
-    SocialForceParams,
-    Wall,
-    social_force_step,
-)
+from repro.sim.social_force import AgentBatch, SocialForceParams, Wall
 
 __all__ = [
     "AgentBatch",

@@ -17,7 +17,7 @@ preset        mimics     crowd density   dominant motion         speed regime
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.scenarios import (
     ConcourseScenario,

@@ -8,9 +8,9 @@ import pytest
 from repro.data.trajectory import AgentTrack, Scene
 
 
-def straight_track(agent_id=0, start=0, length=10, speed=1.0):
+def straight_track(agent_id=0, start=0, length=10):
     t = np.arange(length, dtype=np.float64)
-    return AgentTrack(agent_id, start, np.stack([speed * t, np.zeros(length)], axis=1))
+    return AgentTrack(agent_id, start, np.stack([t, np.zeros(length)], axis=1))
 
 
 class TestAgentTrack:
@@ -39,14 +39,6 @@ class TestAgentTrack:
         track = straight_track(start=2, length=8)
         with pytest.raises(ValueError, match="covers"):
             track.slice_frames(0, 5)
-
-    def test_velocities(self):
-        track = straight_track(length=5, speed=2.0)
-        np.testing.assert_allclose(track.velocities(dt=1.0)[:, 0], 2.0)
-
-    def test_velocity_dt_scaling(self):
-        track = straight_track(length=5, speed=2.0)
-        np.testing.assert_allclose(track.velocities(dt=0.4)[:, 0], 5.0)
 
     def test_slice_frames_at_track_end(self):
         track = straight_track(start=2, length=8)  # frames [2, 10)

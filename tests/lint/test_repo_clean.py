@@ -4,8 +4,9 @@ This is the test CI's ``lint`` job duplicates from the shell
 (``python -m repro.lint --strict``).  If it fails, either fix the violation
 or — when the code is genuinely right — add a justified inline pragma
 (``# lint: disable=CODE(reason)``); the baseline stays empty by policy
-(see docs/lint.md).  Two layout rules are checked here directly: no module
-under ``src/`` imports ``tests``, and no reference oracle is defined there.
+(see docs/lint.md).  Three layout rules are checked here directly: no module
+under ``src/`` imports ``tests``, no reference oracle is defined there, and
+no module there imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -70,4 +71,35 @@ def test_src_defines_no_reference_oracle():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.endswith("_reference")
     ]
+    assert offenders == []
+
+
+def test_src_modules_use_every_import():
+    # An import that its module neither uses nor re-exports through
+    # ``__all__`` is dead code.  Package ``__init__``s are skipped: they
+    # import to re-export and to fix the import order.
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno} imports {name}"
+                for name in names
+                if name not in used
+            ]
     assert offenders == []
