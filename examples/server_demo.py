@@ -1,6 +1,4 @@
-"""Network serving demo: train, publish, serve over TCP, stream, shut down.
-
-The network counterpart of ``serving_demo.py`` (which stays in-process):
+"""Serving demo: train, publish, serve over TCP, stream, shut down.
 
 1. train a small AdapTraj model on two source domains and publish it to a
    versioned :class:`repro.serve.ModelRegistry`,

@@ -5,9 +5,9 @@ The inference-side counterpart to the training stack, in two layers:
 * **In-process** — a versioned :class:`ModelRegistry` of self-describing
   checkpoints, a uniform :class:`Predictor` interface over any
   method/backbone combination, a :class:`MicroBatcher` that coalesces
-  concurrent single-agent requests into padded vectorized batches,
+  concurrent single-agent requests into padded vectorized batches, and
   :class:`StreamingWindows` for per-agent sliding observation windows over
-  live point streams, and the composed :class:`ServingEngine`.
+  live point streams.
 * **Network** — :class:`AsyncServingServer`, an asyncio TCP front-end
   speaking a length-prefixed JSON/binary protocol (:mod:`repro.serve.protocol`)
   with admission control and one queue per model, the only place work
@@ -30,9 +30,10 @@ Serving invariants (see ``docs/architecture.md`` and ``docs/serving.md``):
 * shutdown is idempotent and terminal — pending requests resolve with
   :class:`ServingClosedError` (or a ``shutting_down`` response on the wire),
   never by hanging;
-* served batches are replayable: per-flush RNG derivation plus the
-  ``batch_id``/``row`` response meta reproduce any served prediction through
-  the offline ``predict_samples`` path.
+* every served batch is replayable: its noise derives from
+  ``(seed, batch_id)`` alone, so the ``batch_id``/``row`` response meta
+  reproduce any served prediction through the offline ``predict_samples``
+  path.
 """
 
 from repro.serve.batcher import (
@@ -45,7 +46,6 @@ from repro.serve.batcher import (
     collate_requests,
 )
 from repro.serve.client import RetryPolicy, ServingClient
-from repro.serve.engine import ServingEngine
 from repro.serve.faults import (
     ChaosProxy,
     FaultError,
@@ -97,7 +97,6 @@ __all__ = [
     "ServerThread",
     "ServingClient",
     "ServingClosedError",
-    "ServingEngine",
     "StreamingWindows",
     "UnavailableError",
     "WorkerCrashedError",

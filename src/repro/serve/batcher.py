@@ -23,8 +23,9 @@ The queue is the only place work waits, and there is one way to run it:
 due chunks and :meth:`MicroBatcher.run_chunk` runs one (a worker-process slot
 awaits the forward between its two halves :meth:`MicroBatcher.prepare_chunk`
 and :meth:`MicroBatcher.complete_chunk`).  The async network front-end
-(:mod:`repro.serve.server`) pops one chunk per free slot;
-:meth:`MicroBatcher.flush` runs everything queued on the calling thread.
+(:mod:`repro.serve.server`) pops one chunk per free slot.  Every chunk draws
+its noise from ``default_rng((seed_per_flush, batch_id))``, so any served
+batch replays offline from its ``batch_id`` and request payloads alone.
 :meth:`MicroBatcher.shutdown` terminates every pending request with a
 :class:`ServingClosedError` instead of leaving waiters hanging.  See
 ``docs/serving.md`` for the full batching and backpressure semantics.
@@ -41,7 +42,6 @@ import numpy as np
 
 from repro.data.dataset import PRED_LEN, Batch, collate_windows
 from repro.serve.predictor import Predictor
-from repro.utils.seeding import new_rng
 
 __all__ = [
     "DeadlineExceededError",
@@ -204,7 +204,7 @@ class PendingPrediction:
         if self._samples is None:
             raise RuntimeError(
                 "prediction not ready; the request is still waiting to be "
-                "coalesced (call flush() on the batcher)"
+                "coalesced (pop its chunk with take_ready() and run it)"
             )
         return self._samples
 
@@ -308,10 +308,10 @@ def batch_from_wire(fields: dict) -> Batch:
 class FlushChunk:
     """One popped batch of pending requests, ready for :meth:`MicroBatcher.run_chunk`.
 
-    ``batch_id`` is assigned under the batcher lock, in pop order, and is the
-    key of the per-flush RNG derivation when ``seed_per_flush`` is set — so a
-    served batch can be replayed offline from ``(seed, batch_id)`` plus its
-    request payloads alone, regardless of which worker thread ran it when.
+    ``batch_id`` is assigned under the batcher lock, in pop order, and keys
+    the chunk's noise stream ``default_rng((seed_per_flush, batch_id))`` — so
+    a served batch can be replayed offline from ``(seed, batch_id)`` plus its
+    request payloads alone, whichever slot ran it and when.
     """
 
     batch_id: int
@@ -331,11 +331,10 @@ class MicroBatcher:
     """Coalesce concurrent prediction requests into padded model batches.
 
     ``submit`` only queues.  A consumer pops due work with :meth:`take_ready`
-    and runs each chunk with :meth:`run_chunk` — the async serving front-end
-    pops one chunk per free slot and keeps model forwards off its event
-    loop — or calls :meth:`flush`, which releases everything queued and runs
-    it on the calling thread, as the synchronous
-    :class:`~repro.serve.engine.ServingEngine` does.
+    and runs each chunk with :meth:`run_chunk`, or awaits the forward
+    between :meth:`prepare_chunk` and :meth:`complete_chunk`; the async
+    serving front-end pops one chunk per free slot and keeps model forwards
+    off its event loop.
 
     Parameters
     ----------
@@ -349,14 +348,12 @@ class MicroBatcher:
         ``0`` means partial batches pop whenever asked (lowest latency,
         coalescing only under backpressure).
     max_neighbours : cap on padded neighbour slots (None = batch maximum).
-    rng : seed or generator for the sampling noise (one stream across
-        flushes, so a fixed seed makes a serving session reproducible).
-    seed_per_flush : when set, each flush ``i`` draws its noise from a fresh
-        ``default_rng((seed_per_flush, i))`` instead of the shared stream.
-        This makes every served batch independently replayable — the
-        equivalence gate in ``benchmarks/bench_server.py`` recomputes served
-        batches offline from ``(seed, batch_id)`` — and safe to execute out
-        of order across worker threads.
+    seed_per_flush : chunk ``i`` draws its noise from a fresh
+        ``default_rng((seed_per_flush, i))``.  This makes every served batch
+        independently replayable — the equivalence gate in
+        ``benchmarks/bench_server.py`` recomputes served batches offline
+        from ``(seed, batch_id)`` — and safe to run out of order across
+        slots.
     clock : monotonic time source; injectable for tests.
     """
 
@@ -367,8 +364,7 @@ class MicroBatcher:
         max_batch_size: int = 32,
         max_wait: float = 0.0,
         max_neighbours: int | None = None,
-        rng: np.random.Generator | int | None = 0,
-        seed_per_flush: int | None = None,
+        seed_per_flush: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch_size < 1:
@@ -382,7 +378,6 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         self.max_neighbours = max_neighbours
-        self.rng = new_rng(rng)
         self.seed_per_flush = seed_per_flush
         self.clock = clock
         self._lock = threading.Lock()
@@ -450,22 +445,6 @@ class MicroBatcher:
         with self._lock:
             self._released_at = self.clock()
             return len(self._pending)
-
-    def flush(self) -> list[PendingPrediction]:
-        """Release everything queued and run it here, one chunk at a time.
-
-        Returns every handle popped; each holds samples or a deadline error.
-        A failed forward fails its own chunk's handles and propagates, as on
-        the server; the requests behind it stay queued for a later flush or
-        for :meth:`shutdown`.  Popping one chunk at a time is what keeps them
-        there: a chunk popped and never run would strand its handles.
-        """
-        self.release()
-        popped: list[PendingPrediction] = []
-        while chunks := self.take_ready(limit=1):
-            popped.extend(chunks[0].handles)
-            self.run_chunk(chunks[0])
-        return popped
 
     def take_ready(
         self, now: float | None = None, *, limit: int | None = None
@@ -629,7 +608,7 @@ class MicroBatcher:
     ) -> tuple[Batch, np.random.Generator, dict[str, float]] | None:
         """First half of :meth:`run_chunk`: sweep, then collate.
 
-        Returns the padded batch, the flush's noise stream and the chunk's
+        Returns the padded batch, the chunk's noise stream and its
         stages so far (``route``, ``coalesce``), or None when every row
         expired.  A collation failure fails the chunk's handles and
         propagates, like a failed forward.
@@ -654,7 +633,7 @@ class MicroBatcher:
         except BaseException as error:
             self.fail_chunk(chunk, error)
             raise
-        rng = self._flush_rng(chunk.batch_id)
+        rng = np.random.default_rng((self.seed_per_flush, chunk.batch_id))
         stage["coalesce"] = self.clock() - started
         return batch, rng, stage
 
@@ -722,9 +701,3 @@ class MicroBatcher:
         for handle in handles:
             handle.popped_at = popped_at
         return chunk
-
-    def _flush_rng(self, batch_id: int) -> np.random.Generator:
-        """The noise stream for one flush: shared, or derived per batch."""
-        if self.seed_per_flush is None:
-            return self.rng
-        return np.random.default_rng((self.seed_per_flush, batch_id))

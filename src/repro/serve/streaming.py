@@ -78,7 +78,6 @@ class StreamingWindows:
         self.max_neighbours = max_neighbours
         # Insertion-ordered so request emission order is deterministic.
         self._agents: OrderedDict[object, _AgentWindow] = OrderedDict()
-        self.total_points = 0
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -89,16 +88,11 @@ class StreamingWindows:
         if window is None:
             window = self._agents[agent_id] = _AgentWindow(self.obs_len)
         window.push(int(frame), np.array((x, y), dtype=np.float64))
-        self.total_points += 1
 
     def push_frame(self, frame: int, positions: Mapping[object, tuple[float, float]]) -> None:
         """Ingest one frame's worth of points, ``{agent_id: (x, y)}``."""
         for agent_id, (x, y) in positions.items():
             self.push(agent_id, frame, x, y)
-
-    def evict(self, agent_id) -> None:
-        """Forget an agent (despawn)."""
-        self._agents.pop(agent_id, None)
 
     def drop_stale(self, frame: int, max_age: int) -> int:
         """Evict agents not heard from within ``max_age`` frames; returns count."""

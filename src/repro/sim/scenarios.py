@@ -62,17 +62,14 @@ class Scenario:
     # not a dataclass field).
     DONE_RADIUS = 0.5
 
-    def is_done(self, position: np.ndarray, goal: np.ndarray) -> bool:
-        """Agent leaves the simulation once within 0.5 m of its goal."""
-        return bool(np.linalg.norm(position - goal) < self.DONE_RADIUS)
-
     def is_done_batch(self, positions: np.ndarray, goals: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_done` over ``[N, 2]`` positions/goals.
+        """Which of ``[N, 2]`` agents are within ``DONE_RADIUS`` of their goal.
 
-        One broadcast norm replaces the per-agent Python loop the simulator
-        used to run every physics substep.  Subclasses overriding
-        :meth:`is_done` must override this to match (golden tests compare the
-        two paths bit for bit).
+        A done agent gets a new goal or leaves the simulation.  One broadcast
+        norm replaces the seed's per-agent goal check; the golden tests
+        compare the two bit for bit, so a subclass that changes when an agent
+        is done changes the seed oracle's check in
+        ``tests/sim/oracles.py`` too.
         """
         to_goal = goals - positions
         return np.sqrt(to_goal[:, 0] ** 2 + to_goal[:, 1] ** 2) < self.DONE_RADIUS

@@ -73,9 +73,6 @@ class Wall:
     start: tuple[float, float]
     end: tuple[float, float]
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.start, dtype=np.float64), np.asarray(self.end, dtype=np.float64)
-
 
 class AgentBatch:
     """Mutable state of all currently-active agents (struct-of-arrays).

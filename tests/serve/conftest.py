@@ -1,4 +1,5 @@
-"""Shared fixtures for the serving tests: a small trained method + predictor."""
+"""Shared fixtures for the serving tests: small trained methods, request
+builders and ``run_queued``, which runs a bare batcher's queue in-process."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import pytest
 from repro.baselines import build_method
 from repro.core.config import TrainConfig
 from repro.data.registry import DataConfig, load_multi_domain
-from repro.serve import Predictor
 
 
 def pytest_configure(config):
@@ -81,6 +81,23 @@ def train_tiny_method(method: str = "vanilla", backbone: str = "pecnet", seed: i
     return learner
 
 
+def run_queued(batcher) -> list:
+    """Release everything queued and run it here, one chunk at a time.
+
+    What an in-process slot does, without the server: ``release``, then
+    ``take_ready(limit=1)`` + ``run_chunk`` until the queue is empty.
+    Returns every handle popped.  A failed forward fails its own chunk and
+    propagates; the requests behind it stay queued, because a chunk is
+    popped only when it is about to run.
+    """
+    batcher.release()
+    popped = []
+    while chunks := batcher.take_ready(limit=1):
+        popped.extend(chunks[0].handles)
+        batcher.run_chunk(chunks[0])
+    return popped
+
+
 @pytest.fixture(scope="module")
 def trained_vanilla():
     return train_tiny_method("vanilla")
@@ -89,11 +106,6 @@ def trained_vanilla():
 @pytest.fixture(scope="module")
 def trained_adaptraj():
     return train_tiny_method("adaptraj")
-
-
-@pytest.fixture
-def predictor(trained_vanilla) -> Predictor:
-    return Predictor(trained_vanilla)
 
 
 @pytest.fixture

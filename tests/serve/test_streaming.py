@@ -52,16 +52,26 @@ class TestWindowLifecycle:
         [request] = windows.requests(1)
         np.testing.assert_array_equal(request.obs, [[2.0, 2.0], [3.0, 3.0]])
 
-    def test_evict_and_drop_stale(self):
+    def test_drop_stale(self):
         windows = StreamingWindows(obs_len=2)
         feed_track(windows, "a", 0, [(0.0, 0.0)] * 2)
         feed_track(windows, "b", 0, [(1.0, 1.0)] * 2)
-        windows.evict("a")
-        assert windows.num_agents == 1
         windows.push("b", 2, 1.0, 1.0)
         feed_track(windows, "c", 10, [(2.0, 2.0)] * 2)
+        assert windows.drop_stale(frame=5, max_age=3) == 1  # "a" last seen at 1
         assert windows.drop_stale(frame=11, max_age=3) == 1  # "b" last seen at 2
-        assert windows.num_agents == 1
+        assert windows.ready_agents(11) == ["c"]
+
+    def test_readmitted_agent_emits_after_the_others(self):
+        """Emission follows first-observation order.  An agent dropped as
+        stale and observed again counts as new, so it moves to the end; a
+        gap alone keeps its place."""
+        windows = StreamingWindows(obs_len=1)
+        windows.push_frame(0, {"a": (0.0, 0.0), "b": (1.0, 1.0), "c": (2.0, 2.0)})
+        windows.push_frame(5, {"b": (1.0, 1.0), "c": (2.0, 2.0)})
+        assert windows.drop_stale(frame=5, max_age=3) == 1  # "a"
+        windows.push_frame(7, {"c": (2.0, 2.0), "b": (1.0, 1.0), "a": (0.0, 0.0)})
+        assert windows.ready_agents(7) == ["b", "c", "a"]
 
 
 class TestConcurrentServingEdgeCases:

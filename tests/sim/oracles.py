@@ -25,10 +25,16 @@ import numpy as np
 
 from repro.data.trajectory import AgentTrack, Scene
 from repro.sim.domains import DomainSpec, get_domain
+from repro.sim.scenarios import Scenario
 from repro.sim.social_force import _EPS, AgentBatch, SocialForceParams, Wall
 from repro.utils.seeding import new_rng
 
-__all__ = ["simulate_scene_reference", "social_force_step_reference"]
+__all__ = ["is_done_reference", "simulate_scene_reference", "social_force_step_reference"]
+
+
+def is_done_reference(scenario: Scenario, position: np.ndarray, goal: np.ndarray) -> bool:
+    """Seed per-agent goal check: done once within ``DONE_RADIUS`` of the goal."""
+    return bool(np.linalg.norm(position - goal) < scenario.DONE_RADIUS)
 
 
 def _goal_force_reference(batch: AgentBatch, params: SocialForceParams) -> np.ndarray:
@@ -82,7 +88,7 @@ def _wall_force_reference(
     """Seed per-wall loop (the vectorized version stacks all walls at once)."""
     total = np.zeros((batch.num_agents, 2))
     for wall in walls:
-        a, b = wall.as_arrays()
+        a, b = np.asarray(wall.start, dtype=np.float64), np.asarray(wall.end, dtype=np.float64)
         vec = _point_segment_vector(batch.positions, a, b)
         dist = np.linalg.norm(vec, axis=1)
         direction = vec / np.maximum(dist, _EPS)[:, None]
@@ -169,7 +175,7 @@ def simulate_scene_reference(
             if batch.num_agents:
                 keep = np.ones(batch.num_agents, dtype=bool)
                 for i in range(batch.num_agents):
-                    if not scenario.is_done(batch.positions[i], batch.goals[i]):
+                    if not is_done_reference(scenario, batch.positions[i], batch.goals[i]):
                         continue
                     new_goal = scenario.reassign_goal(rng, batch.positions[i])
                     if new_goal is None:

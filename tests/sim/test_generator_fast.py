@@ -33,6 +33,7 @@ from repro.sim.social_force import (
 
 from tests.sim.oracles import (
     _wall_force_reference,
+    is_done_reference,
     simulate_scene_reference,
     social_force_step_reference,
 )
@@ -165,7 +166,7 @@ class TestBatchedScenarioAPIs:
         goals = positions + rng.normal(0.0, 0.5, (50, 2))
         batched = scenario.is_done_batch(positions, goals)
         scalar = np.array(
-            [scenario.is_done(p, g) for p, g in zip(positions, goals)]
+            [is_done_reference(scenario, p, g) for p, g in zip(positions, goals)]
         )
         assert np.array_equal(batched, scalar)
 
