@@ -13,8 +13,8 @@
 
 Run:  PYTHONPATH=src python examples/server_demo.py
 
-This script doubles as the CI server smoke: it exercises the full wire path
-(framing, observe/predict/stats/health, graceful shutdown) end to end.
+CI runs this script as its "Server demo" step: it exercises the full wire
+path (framing, observe/predict/stats/health, graceful shutdown) end to end.
 """
 
 from __future__ import annotations

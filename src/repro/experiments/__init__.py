@@ -14,7 +14,6 @@ invariants.
 from repro.experiments.figures import (
     FigureResult,
     ascii_bar_chart,
-    figure3_source_domains,
     figure4_sensitivity,
 )
 from repro.experiments.harness import RunResult, run_experiment
@@ -30,14 +29,7 @@ from repro.experiments.runner import (
 from repro.experiments.scales import SCALES, ExperimentScale, get_scale
 from repro.experiments.tables import (
     TableResult,
-    table1_dataset_statistics,
-    table2_domain_shift,
-    table3_negative_transfer,
     table4_main_comparison,
-    table5_single_source,
-    table6_source_count,
-    table7_ablation,
-    table8_inference_time,
 )
 
 __all__ = [
@@ -50,7 +42,6 @@ __all__ = [
     "TableResult",
     "ascii_bar_chart",
     "execute_spec",
-    "figure3_source_domains",
     "figure4_sensitivity",
     "format_table",
     "get_scale",
@@ -60,12 +51,5 @@ __all__ = [
     "run_grid_report",
     "save_json",
     "save_table",
-    "table1_dataset_statistics",
-    "table2_domain_shift",
-    "table3_negative_transfer",
     "table4_main_comparison",
-    "table5_single_source",
-    "table6_source_count",
-    "table7_ablation",
-    "table8_inference_time",
 ]

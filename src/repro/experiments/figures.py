@@ -8,10 +8,12 @@ verifies (who wins, and how each hyperparameter bends the curve).
 Like the tables, each figure is declared once by a private ``_figureN``
 that returns its grid of independent runs
 (:class:`repro.experiments.runner.RunSpec`) and the assembly of their
-results; the public generator runs its own grid (``jobs > 1`` executes on a
-process pool with bit-identical results), and ``python -m
-repro.experiments`` assembles the figure from the union of every requested
-artifact's runs (:data:`FIGURES` names the declarations).
+results; ``python -m repro.experiments`` assembles the figure from the
+union of every requested artifact's runs (:data:`FIGURES` names the
+declarations).  Figure 4 keeps a public generator,
+:func:`figure4_sensitivity`, which runs its own grid (``jobs > 1`` executes
+on a process pool with bit-identical results) over any backbones, so it
+adds the LBEBM panels that the command leaves out.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "FIGURES",
     "FigureResult",
     "ascii_bar_chart",
-    "figure3_source_domains",
     "figure4_sensitivity",
 ]
 
@@ -124,16 +125,6 @@ def _figure3(
         )
 
     return grid, assemble
-
-
-def figure3_source_domains(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
-    backbones: tuple[str, ...] = ("lbebm", "pecnet"),
-    jobs: int | None = 1,
-) -> FigureResult:
-    """ADE of {LBEBM,PECNet}-AdapTraj vs the source-domain set (paper Fig. 3)."""
-    return run_declared(_figure3(scale, seed, backbones), jobs)
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,14 @@ Each table is *declared* once, by a private ``_tableN(scale, seed, ...)``
 that returns its grid of independent runs (a list of
 :class:`repro.experiments.runner.RunSpec`) and the assembly of that grid's
 results into a :class:`TableResult` holding the rendered ASCII table plus
-the raw numbers.  The public ``tableN_*`` function runs its own grid
-(serial by default, process-parallel with ``jobs > 1`` — results are
-bit-identical either way) and assembles it; ``python -m repro.experiments``
-runs the union of several tables' grids once and assembles each from the
-shared results (:data:`TABLES` names the declarations).
+the raw numbers.  ``python -m repro.experiments`` runs the union of several
+tables' grids once and assembles each from the shared results
+(:data:`TABLES` names the declarations);
+:func:`repro.experiments.runner.run_declared` runs one declaration on its
+own (serial by default, process-parallel with ``jobs > 1`` — results are
+bit-identical either way).  Table IV keeps a public generator,
+:func:`table4_main_comparison`, with its backbones, methods and targets as
+arguments.
 
 Domain-name mapping between the paper and the synthetic domains:
 ``ETH&UCY -> eth_ucy``, ``L-CAS -> lcas``, ``SYI -> syi``, ``SDD -> sdd``.
@@ -30,14 +33,7 @@ from repro.sim.generator import generate_scenes
 __all__ = [
     "TABLES",
     "TableResult",
-    "table1_dataset_statistics",
-    "table2_domain_shift",
-    "table3_negative_transfer",
     "table4_main_comparison",
-    "table5_single_source",
-    "table6_source_count",
-    "table7_ablation",
-    "table8_inference_time",
 ]
 
 #: Default leave-one-out source sets: target -> sources (paper Sec. IV-A1).
@@ -144,14 +140,6 @@ def _table1(scale: ExperimentScale | str, seed: int) -> Declaration:
     return [], assemble
 
 
-def table1_dataset_statistics(
-    scale: ExperimentScale | str = "tiny", seed: int = 0
-) -> TableResult:
-    """Statistical analysis of the four (synthetic) datasets (paper Table I)."""
-    _, assemble = _table1(scale, seed)
-    return assemble([], {})
-
-
 # ----------------------------------------------------------------------
 # Table II — cross-domain performance decline
 # ----------------------------------------------------------------------
@@ -191,13 +179,6 @@ def _table2(scale: ExperimentScale | str, seed: int) -> Declaration:
     return grid, assemble
 
 
-def table2_domain_shift(
-    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
-) -> TableResult:
-    """Existing methods trained on SDD vs ETH&UCY, tested on SDD (paper Table II)."""
-    return run_declared(_table2(scale, seed), jobs)
-
-
 # ----------------------------------------------------------------------
 # Table III — negative transfer
 # ----------------------------------------------------------------------
@@ -234,13 +215,6 @@ def _table3(scale: ExperimentScale | str, seed: int) -> Declaration:
         )
 
     return grid, assemble
-
-
-def table3_negative_transfer(
-    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
-) -> TableResult:
-    """Single-source DG methods on growing source sets, tested on SDD (Table III)."""
-    return run_declared(_table3(scale, seed), jobs)
 
 
 # ----------------------------------------------------------------------
@@ -324,17 +298,6 @@ def _table5(
     return grid, assemble
 
 
-def table5_single_source(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
-    backbones: tuple[str, ...] = BACKBONES,
-    methods: tuple[str, ...] = METHODS,
-    jobs: int | None = 1,
-) -> TableResult:
-    """Each dataset as the single source, evaluated on SDD (paper Table V)."""
-    return run_declared(_table5(scale, seed, backbones, methods), jobs)
-
-
 # ----------------------------------------------------------------------
 # Table VI — number of source domains (PECNet)
 # ----------------------------------------------------------------------
@@ -367,13 +330,6 @@ def _table6(scale: ExperimentScale | str, seed: int) -> Declaration:
         )
 
     return grid, assemble
-
-
-def table6_source_count(
-    scale: ExperimentScale | str = "tiny", seed: int = 0, jobs: int | None = 1
-) -> TableResult:
-    """PECNet vs PECNet-AdapTraj across source-domain counts (paper Table VI)."""
-    return run_declared(_table6(scale, seed), jobs)
 
 
 # ----------------------------------------------------------------------
@@ -417,16 +373,6 @@ def _table7(
     return grid, assemble
 
 
-def table7_ablation(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
-    backbones: tuple[str, ...] = BACKBONES,
-    jobs: int | None = 1,
-) -> TableResult:
-    """AdapTraj variants w/o specific and w/o invariant features (paper Table VII)."""
-    return run_declared(_table7(scale, seed, backbones), jobs)
-
-
 # ----------------------------------------------------------------------
 # Table VIII — inference time
 # ----------------------------------------------------------------------
@@ -468,24 +414,6 @@ def _table8(
         )
 
     return grid, assemble
-
-
-def table8_inference_time(
-    scale: ExperimentScale | str = "tiny",
-    seed: int = 0,
-    backbones: tuple[str, ...] = BACKBONES,
-    methods: tuple[str, ...] = METHODS,
-    jobs: int | None = 1,
-) -> TableResult:
-    """Average per-batch inference time per method (paper Table VIII).
-
-    Note: the *measurements* here are wall-clock and therefore not part of
-    the serial-vs-parallel determinism contract; running this table with
-    ``jobs > 1`` shares cores between concurrently-timed runs, so keep
-    ``jobs=1`` when the absolute latencies matter.  ``python -m
-    repro.experiments`` always runs these specs serially.
-    """
-    return run_declared(_table8(scale, seed, backbones, methods), jobs)
 
 
 #: Every table's declaration at ``(scale, seed)``, by its artifact name in

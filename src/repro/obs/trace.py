@@ -18,13 +18,13 @@ The canonical stages (:data:`STAGES`), in request order:
     Collating the popped requests into one padded batch and deriving the
     flush's noise stream.
 ``route``
-    Popped chunk scheduled until its worker thread starts executing
-    (slot lock wait + executor hand-off); for a worker-process slot, the
-    slot lock wait only.
+    Popped chunk handed to a free slot until its task starts on the event
+    loop, for either kind of slot.
 ``inference``
-    The model forward (``predictor.predict_world``) on the worker thread;
-    for a worker-process slot, the chunk exchange with the child (write,
-    wait, read) on the event loop.
+    The slot's forward as the event loop awaits it: for an in-process
+    slot, ``predictor.predict_world`` on a pool thread, hops included; for
+    a worker-process slot, the chunk exchange with the child (write, wait,
+    read).
 ``encode``
     Serializing a response frame.  Recorded into the server's histograms
     only — a response cannot carry the cost of its own serialization.

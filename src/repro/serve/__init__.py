@@ -13,9 +13,11 @@ The inference-side counterpart to the training stack, in two layers:
   with admission control and one queue per model, the only place work
   waits.  A model runs on one in-process :class:`Predictor`, or on N
   supervised child processes (:class:`WorkerPool`/:class:`WorkerPredictor`,
-  :mod:`repro.serve.workers`) that escape the GIL, each taking one chunk
-  at a time from a :class:`Router`'s free slots, while keeping the replay
-  invariant — plus the blocking :class:`ServingClient`
+  :mod:`repro.serve.workers`) that escape the GIL.  A predict queues all of
+  its rows at once, and each free slot takes one chunk at a time, which
+  runs one way on either kind of slot — collate on the event loop, the
+  slot's forward, fulfil on the loop — while keeping the replay
+  invariant; plus the blocking :class:`ServingClient`
   with :class:`RetryPolicy` backoff and a binary payload mode.
 
 Serving invariants (see ``docs/architecture.md`` and ``docs/serving.md``):
@@ -60,7 +62,6 @@ from repro.serve.server import (
     AsyncServingServer,
     CircuitBreaker,
     OverloadedError,
-    Router,
     ServerThread,
     UnavailableError,
 )
@@ -93,7 +94,6 @@ __all__ = [
     "ProtocolError",
     "RemoteServingError",
     "RetryPolicy",
-    "Router",
     "ServerThread",
     "ServingClient",
     "ServingClosedError",

@@ -20,10 +20,10 @@ evaluation batch built from the same windows.
 
 The queue is the only place work waits, and there is one way to run it:
 :meth:`MicroBatcher.submit` only queues, :meth:`MicroBatcher.take_ready` pops
-due chunks and :meth:`MicroBatcher.run_chunk` runs one (a worker-process slot
-awaits the forward between its two halves :meth:`MicroBatcher.prepare_chunk`
-and :meth:`MicroBatcher.complete_chunk`).  The async network front-end
-(:mod:`repro.serve.server`) pops one chunk per free slot.  Every chunk draws
+due chunks, and a chunk runs as :meth:`MicroBatcher.prepare_chunk`, the
+caller's forward, then :meth:`MicroBatcher.complete_chunk`.  The async
+network front-end (:mod:`repro.serve.server`) pops one chunk per free slot
+and awaits each slot's forward on its event loop.  Every chunk draws
 its noise from ``default_rng((seed_per_flush, batch_id))``, so any served
 batch replays offline from its ``batch_id`` and request payloads alone.
 :meth:`MicroBatcher.shutdown` terminates every pending request with a
@@ -71,11 +71,11 @@ class DeadlineExceededError(RuntimeError):
 
     A :class:`PredictRequest` may carry an absolute ``deadline`` (batcher
     clock).  Expired requests are swept out *before* the model runs — while
-    queued (:meth:`MicroBatcher.expire_pending`), and again when their chunk
-    runs (:meth:`MicroBatcher.expire_chunk`, inside
-    :meth:`MicroBatcher.prepare_chunk`, after an in-process slot's executor
-    hop) — so the server never computes answers nobody is waiting for.  On
-    the wire this maps to the typed ``deadline_exceeded`` response.
+    queued (:meth:`MicroBatcher.expire_pending`), and again just before their
+    chunk's forward (:meth:`MicroBatcher.expire_chunk`, inside
+    :meth:`MicroBatcher.prepare_chunk`) — so the server never computes
+    answers nobody is waiting for.  On the wire this maps to the typed
+    ``deadline_exceeded`` response.
     """
 
 
@@ -128,7 +128,7 @@ class PredictRequest:
 
 
 class PendingPrediction:
-    """Future-like handle returned by :meth:`MicroBatcher.submit`.
+    """Future-like handle, one per request :meth:`MicroBatcher.submit` queues.
 
     A handle resolves exactly once, either with world-frame samples
     (:meth:`result`) or with a terminal error (``error``) — e.g. a failed
@@ -204,7 +204,8 @@ class PendingPrediction:
         if self._samples is None:
             raise RuntimeError(
                 "prediction not ready; the request is still waiting to be "
-                "coalesced (pop its chunk with take_ready() and run it)"
+                "coalesced (pop its chunk with take_ready(), then "
+                "prepare_chunk(), the forward and complete_chunk())"
             )
         return self._samples
 
@@ -306,7 +307,7 @@ def batch_from_wire(fields: dict) -> Batch:
 
 @dataclass
 class FlushChunk:
-    """One popped batch of pending requests, ready for :meth:`MicroBatcher.run_chunk`.
+    """One popped batch of pending requests, ready for :meth:`MicroBatcher.prepare_chunk`.
 
     ``batch_id`` is assigned under the batcher lock, in pop order, and keys
     the chunk's noise stream ``default_rng((seed_per_flush, batch_id))`` — so
@@ -318,8 +319,7 @@ class FlushChunk:
     handles: list[PendingPrediction] = field(default_factory=list)
     #: When the scheduler dispatched this chunk (batcher clock).  Set by the
     #: async server as it hands the chunk to a free slot; ``prepare_chunk``
-    #: turns it into the ``route`` stage (task start-up, plus the executor
-    #: hop of an in-process slot).
+    #: turns it into the ``route`` stage (the chunk task's start-up).
     scheduled_at: float | None = None
 
     @property
@@ -331,10 +331,9 @@ class MicroBatcher:
     """Coalesce concurrent prediction requests into padded model batches.
 
     ``submit`` only queues.  A consumer pops due work with :meth:`take_ready`
-    and runs each chunk with :meth:`run_chunk`, or awaits the forward
-    between :meth:`prepare_chunk` and :meth:`complete_chunk`; the async
-    serving front-end pops one chunk per free slot and keeps model forwards
-    off its event loop.
+    and runs each chunk in three steps: :meth:`prepare_chunk`, its own
+    forward, then :meth:`complete_chunk`.  The async serving front-end pops
+    one chunk per free slot and keeps model forwards off its event loop.
 
     Parameters
     ----------
@@ -415,26 +414,30 @@ class MicroBatcher:
         return self.total_completed / self.total_batches if self.total_batches else 0.0
 
     # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> PendingPrediction:
-        """Queue one request; it runs once a consumer pops its chunk.
+    def submit(self, requests: Sequence[PredictRequest]) -> list[PendingPrediction]:
+        """Queue requests together; each runs once a consumer pops its chunk.
 
-        Window length is validated here, against the predictor, so a
-        malformed request fails in its own caller instead of poisoning the
-        batch it would later be coalesced into.
+        Returns one handle per request, in order.  Window lengths are
+        validated here, against the predictor, before any request is
+        queued, so a malformed request fails in its own caller instead of
+        poisoning the batch it would later be coalesced into, and a refused
+        call leaves nothing queued.
         """
         expected = getattr(self.predictor, "obs_len", None)
-        if expected is not None and request.obs.shape[0] != expected:
-            raise ValueError(
-                f"request {request.request_id!r} has window length "
-                f"{request.obs.shape[0]}, predictor expects {expected}"
-            )
+        for request in requests:
+            if expected is not None and request.obs.shape[0] != expected:
+                raise ValueError(
+                    f"request {request.request_id!r} has window length "
+                    f"{request.obs.shape[0]}, predictor expects {expected}"
+                )
         with self._lock:
             if self._closed:
                 raise ServingClosedError("batcher is shut down; request rejected")
-            handle = PendingPrediction(request, self.clock())
-            self._pending.append(handle)
-            self.total_requests += 1
-        return handle
+            enqueued_at = self.clock()
+            handles = [PendingPrediction(request, enqueued_at) for request in requests]
+            self._pending.extend(handles)
+            self.total_requests += len(handles)
+        return handles
 
     def release(self) -> int:
         """Make everything queued due now, whatever ``max_wait`` says.
@@ -537,10 +540,9 @@ class MicroBatcher:
         """Drop expired handles out of a popped chunk; returns the expired.
 
         :meth:`prepare_chunk` calls it, so the time a popped chunk spends
-        reaching its slot (an in-process slot's executor hop) counts against
-        its requests' budgets and an expired row never reaches inference.
-        Safe to call repeatedly.  The chunk's remaining handles collate as
-        the batch actually executed.
+        reaching its slot counts against its requests' budgets and an
+        expired row never reaches inference.  Safe to call repeatedly.  The
+        chunk's remaining handles collate as the batch actually executed.
         """
         now = self.clock() if now is None else now
         expired = [
@@ -569,53 +571,24 @@ class MicroBatcher:
         with self._lock:
             self.total_failed += len(chunk.handles)
 
-    def run_chunk(
-        self, chunk: FlushChunk, predictor: Predictor | None = None
-    ) -> list[PendingPrediction]:
-        """Execute one popped chunk: collate, predict, fulfil its handles.
-
-        Runs without the queue lock (the chunk is owned by the caller), so it
-        is safe to call from a worker thread while the event loop keeps
-        accepting submissions.  ``predictor`` overrides the batcher's own —
-        the server runs chunks from one shared queue on whichever slot the
-        router picked; slots are numerically identical, so the per-flush RNG
-        derivation keeps the result (and its offline replay) independent of
-        the choice.  On failure every handle in the chunk gets the exception
-        as its *terminal* error (:meth:`fail_chunk`) and the exception
-        propagates, so the caller can log it.
-
-        The two halves, :meth:`prepare_chunk` and :meth:`complete_chunk`,
-        are public so a caller that awaits the forward instead of calling
-        it (the server's worker-process slots) runs the same collation and
-        fulfilment.
-        """
-        prepared = self.prepare_chunk(chunk, predictor)
-        if prepared is None:
-            return []
-        batch, rng, stage = prepared
-        predictor = self.predictor if predictor is None else predictor
-        started = self.clock()
-        try:
-            samples = predictor.predict_world(batch, self.num_samples, rng)
-        except BaseException as error:
-            self.fail_chunk(chunk, error)
-            raise
-        stage["inference"] = self.clock() - started
-        return self.complete_chunk(chunk, samples, stage)
-
     def prepare_chunk(
         self, chunk: FlushChunk, predictor: Predictor | None = None
     ) -> tuple[Batch, np.random.Generator, dict[str, float]] | None:
-        """First half of :meth:`run_chunk`: sweep, then collate.
+        """First step of running a popped chunk: sweep, then collate.
 
-        Returns the padded batch, the chunk's noise stream and its
-        stages so far (``route``, ``coalesce``), or None when every row
-        expired.  A collation failure fails the chunk's handles and
-        propagates, like a failed forward.
+        Returns the padded batch, the chunk's noise stream and its stages so
+        far (``route``, ``coalesce``), or None when every row expired.
+        Runs without the queue lock (the chunk is owned by the caller).
+        ``predictor`` overrides the batcher's own for ``pred_len``: the
+        server runs chunks from one shared queue on whichever slot is free,
+        and slots are numerically identical, so the per-flush RNG
+        derivation keeps the result (and its offline replay) independent
+        of the choice.  A collation failure fails the chunk's handles
+        (:meth:`fail_chunk`) and propagates, like a failed forward; the
+        caller calls :meth:`fail_chunk` itself when its forward raises.
         """
-        # Last-chance deadline sweep: an in-process slot's executor hop
-        # counts against the request's budget, and an expired row must
-        # never reach inference.
+        # Last-chance deadline sweep, just before the forward: an expired
+        # row must never reach inference.
         self.expire_chunk(chunk)
         if not chunk.handles:
             return None
@@ -644,7 +617,7 @@ class MicroBatcher:
         stage: dict[str, float],
         nested: dict[str, float] | None = None,
     ) -> list[PendingPrediction]:
-        """Second half of :meth:`run_chunk`: fulfil every handle of the chunk.
+        """Last step of running a popped chunk: fulfil every handle.
 
         Each handle gets its row of ``samples``, its replay meta and its
         stages: the chunk's ``stage`` plus its own ``queue_wait``.

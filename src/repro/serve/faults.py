@@ -11,7 +11,7 @@ cover the stack:
   every awaited ``predict_world_async`` of a wrapped worker-process slot
   (site ``"predict"`` by default).  This is how slot crashes and slow
   forwards are simulated: the wrapped predictor is registered with the
-  server like any other, and the batcher/router/breaker machinery sees
+  server like any other, and the batcher/slot/breaker machinery sees
   genuine mid-chunk exceptions and genuine slowness.
 * :class:`ChaosProxy` — a frame-aware TCP proxy between a client and a
   server that can drop connections or stall/delay individual response

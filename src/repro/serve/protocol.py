@@ -116,7 +116,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: did not bump the protocol version, older clients simply never send it).
 OPERATIONS = ("observe", "predict", "flush", "stats", "health", "metrics")
 
-#: Operations of the private *worker plane* (parent router <-> worker child
+#: Operations of the private *worker plane* (parent server <-> worker child
 #: process, see :mod:`repro.serve.workers`).  Additive: worker hosts accept
 #: exactly these, the public server accepts exactly :data:`OPERATIONS`, and
 #: both reuse the same frames/envelope/error codes — no version bump.

@@ -16,23 +16,26 @@ state, and the I/O of worker-process slots; model forwards never run on it:
   invariant are untouched.  See ``docs/observability.md``.
 * **Batching** — each model gets one
   :class:`~repro.serve.batcher.MicroBatcher`: requests from all connections
-  coalesce in its queue, the only place work waits.  A drain after every
-  submit and every finished chunk — plus one timer armed for the next
-  max-wait or deadline — pops one due chunk per free slot with
-  ``take_ready``.  An in-process slot runs it via ``run_chunk`` on a
-  bounded :class:`~concurrent.futures.ThreadPoolExecutor`; a worker-process
-  slot's chunk is collated, exchanged with the child and fulfilled on the
-  loop.  While every slot of a model is busy, work waits in the queue, so
-  backpressure turns a convoy of single requests into genuinely coalesced
-  batches (adaptive batching).
+  coalesce in its queue, the only place work waits.  A predict queues all
+  of its rows at once; a drain after every predict and every finished
+  chunk — plus one timer armed for the next max-wait or deadline — pops one
+  due chunk per free slot with ``take_ready``.  Every chunk takes one path
+  through its slot: the loop collates it (``prepare_chunk``), awaits the
+  slot's forward and fulfils its handles (``complete_chunk``).  An
+  in-process forward holds the GIL, so it runs on a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor`; a worker-process slot's
+  forward is an exchange with its child, awaited on the loop.  While every
+  slot of a model is busy, work waits in the queue, so backpressure turns a
+  convoy of single requests into genuinely coalesced batches (adaptive
+  batching).
 * **Slots** — a model runs on one in-process :class:`Predictor`, or on N
   supervised worker-process slots (a :class:`~repro.serve.workers.WorkerSpec`
-  with ``workers=N``); a :class:`Router` lists the free slots, lowest index
-  first, and each runs one chunk at a time, so chunks of one model overlap
-  across processes while each slot stays single-threaded.  The queue — and
-  with it ``batch_id`` assignment and the per-flush RNG derivation — stays
-  *shared per model*, so the offline replay invariant is untouched by which
-  slot ran a batch.
+  with ``workers=N``); the drain hands each free slot, lowest index first,
+  one chunk at a time, so chunks of one model overlap across processes
+  while each slot stays single-threaded.  The queue — and with it
+  ``batch_id`` assignment and the per-flush RNG derivation — stays *shared
+  per model*, so the offline replay invariant is untouched by which slot
+  ran a batch.
 * **Admission control** — a configurable cap on in-flight predictions; work
   beyond it is fast-failed with an ``overloaded`` response instead of being
   queued without bound.  Queue depth, in-flight peaks, and per-model latency
@@ -86,7 +89,6 @@ __all__ = [
     "CircuitBreaker",
     "DEFAULT_PORT",
     "OverloadedError",
-    "Router",
     "ServerThread",
     "UnavailableError",
 ]
@@ -119,7 +121,7 @@ class CircuitBreaker:
 
     * ``closed`` — healthy.  Every successful chunk resets the consecutive
       error count; ``threshold`` consecutive failed chunks open the breaker.
-    * ``open`` — the slot is skipped by the router.  After ``cooldown``
+    * ``open`` — the slot is not free for work.  After ``cooldown``
       seconds the next availability check moves to half-open.
     * ``half_open`` — exactly one probe chunk is admitted (a slot takes a
       chunk only with nothing in flight).  Success closes the breaker;
@@ -198,7 +200,7 @@ class _Replica:
     """One slot of a model: its predictor and counters.
 
     ``active`` counts chunks routed here and not yet finished: 0 or 1, since
-    the router hands a chunk only to a slot with nothing in flight.  That
+    the drain hands a chunk only to a slot with nothing in flight.  That
     keeps one chunk per slot — ``inference_mode`` training-flag save/restore
     is per-module state, so one module tree must never run on two threads,
     and a worker child answers one chunk at a time on its connection — while
@@ -230,44 +232,6 @@ class _Replica:
         self.breaker = breaker
 
 
-class Router:
-    """Free-slot routing over a model's slots.
-
-    A slot is *free* when it has nothing in flight and its circuit breaker
-    lets work through; the drain hands each free slot one chunk, lowest
-    index first, so routing is deterministic given the load state.  A
-    half-open breaker's slot is free only until its probe starts, so it
-    never gets a second chunk before the verdict.  Routing never affects
-    results: slots are numerically identical and every chunk's noise
-    derives from ``(seed, batch_id)`` alone, so the replay invariant holds
-    regardless of placement.
-    """
-
-    def __init__(self, replicas: list[_Replica]) -> None:
-        if not replicas:
-            raise ValueError("router needs at least one slot")
-        self.replicas = list(replicas)
-
-    def free(self) -> list[_Replica]:
-        """The slots that can start a chunk now, lowest index first."""
-        now = time.monotonic()
-        return [
-            replica
-            for replica in self.replicas
-            if replica.active == 0 and replica.breaker.available(now)
-        ]
-
-    def any_available(self, now: float | None = None) -> bool:
-        """True while at least one breaker would let work through eventually.
-
-        Half-open slots count even while their probe is in flight — work
-        should *wait* for the probe's verdict, not fast-fail.  False only
-        when every breaker is open and cooling down.
-        """
-        now = time.monotonic() if now is None else now
-        return any(replica.breaker.available(now) for replica in self.replicas)
-
-
 def _exchange(predictor):
     """A worker slot's awaited chunk exchange; None for an in-process slot."""
     return getattr(predictor, "predict_world_async", None)
@@ -296,15 +260,21 @@ def _parse_array(value, shape_desc: str, ndim: int) -> np.ndarray:
 
 
 class _ModelWorker:
-    """Per-model scheduling state: shared batcher, slots, router, futures.
+    """Per-model scheduling state: shared batcher, slots, futures.
 
-    Lives entirely on the event loop except for an in-process slot's
-    :meth:`MicroBatcher.run_chunk`, which executes on the server's thread
-    pool.  The batcher — queue, ``batch_id`` assignment, per-flush RNG
-    derivation — is **one per model**, shared by all slots; only chunk
-    *execution* fans out, so served batches replay offline identically no
-    matter which slot ran them.  A slot runs one chunk at a time; slots (and
-    different models) run in parallel.
+    Lives entirely on the event loop; only an in-process slot's forward
+    leaves it, for the server's thread pool.  The batcher — queue,
+    ``batch_id`` assignment, per-flush RNG derivation — is **one per
+    model**, shared by all slots; only chunk *execution* fans out, so served
+    batches replay offline identically no matter which slot ran them.  A
+    slot runs one chunk at a time; slots (and different models) run in
+    parallel.
+
+    A slot is *free* when it has nothing in flight and its circuit breaker
+    lets work through; the drain hands each free slot one chunk, lowest
+    index first, so routing is deterministic given the load state.  A
+    half-open breaker's slot is free only until its probe starts, so it
+    never gets a second chunk before the verdict.
     """
 
     def __init__(
@@ -314,11 +284,12 @@ class _ModelWorker:
         batcher: MicroBatcher,
         replicas: list[_Replica],
     ) -> None:
+        if not replicas:
+            raise ValueError("a model needs at least one slot")
         self.server = server
         self.name = name
         self.batcher = batcher
         self.replicas = replicas
-        self.router = Router(replicas)
         self._waiters: dict[PendingPrediction, tuple[asyncio.Future, float]] = {}
         #: The one drain timer (:meth:`_arm_timer`) and its due time on the
         #: batcher clock.
@@ -334,24 +305,51 @@ class _ModelWorker:
         self.latency_max = 0.0
 
     # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> asyncio.Future:
-        """Queue one request; returns a future resolving to its handle.
+    def free(self) -> list[_Replica]:
+        """The slots that can start a chunk now, lowest index first."""
+        now = time.monotonic()
+        return [
+            replica
+            for replica in self.replicas
+            if replica.active == 0 and replica.breaker.available(now)
+        ]
 
-        When every replica's breaker is open (and still cooling down) the
-        request is refused outright with :class:`UnavailableError` — a
-        typed fast-fail beats queueing into a pool that cannot serve.
+    def any_available(self) -> bool:
+        """True while at least one breaker would let work through eventually.
+
+        Half-open slots count even while their probe is in flight — work
+        should *wait* for the probe's verdict, not fast-fail.  False only
+        when every breaker is open and cooling down.
         """
-        if not self.router.any_available():
+        now = time.monotonic()
+        return any(replica.breaker.available(now) for replica in self.replicas)
+
+    def submit(self, requests: list[PredictRequest]) -> list[asyncio.Future]:
+        """Queue all of a predict's rows, then drain once.
+
+        Returns one future per row, resolving to its handle.  The rows
+        queue together or not at all: when every slot's breaker is open
+        (and still cooling down) they are refused outright with
+        :class:`UnavailableError` — a typed fast-fail beats queueing into a
+        pool that cannot serve — and a row the batcher rejects leaves none
+        of them queued.
+        """
+        if not self.any_available():
             raise UnavailableError(
                 f"model {self.name!r}: all {len(self.replicas)} replica "
                 "circuit breakers are open — retry after the cooldown"
             )
-        handle = self.batcher.submit(request)  # raises when closed/invalid
-        future = self.server._loop.create_future()
-        self._waiters[handle] = (future, self.server._loop.time())
-        self.server._note_inflight(+1)
+        handles = self.batcher.submit(requests)  # raises when closed/invalid
+        loop = self.server._loop
+        submitted_at = loop.time()
+        futures = []
+        for handle in handles:
+            future = loop.create_future()
+            self._waiters[handle] = (future, submitted_at)
+            futures.append(future)
+        self.server._note_inflight(len(handles))
         self.drain()
-        return future
+        return futures
 
     def drain(self) -> None:
         """Start one due chunk per free slot, and re-arm the timer.
@@ -366,7 +364,7 @@ class _ModelWorker:
             return
         for handle in self.batcher.expire_pending():
             self._resolve(handle)
-        free = self.router.free()
+        free = self.free()
         for replica, chunk in zip(free, self.batcher.take_ready(limit=len(free))):
             # Busy from now on, so the next drain skips this slot.
             replica.active += 1
@@ -398,7 +396,7 @@ class _ModelWorker:
         earlier due time re-arms the timer; an empty queue cancels it.
         """
         batcher = self.batcher
-        due = batcher.next_due(allow_partial=bool(self.router.free()))
+        due = batcher.next_due(allow_partial=bool(self.free()))
         if due is None:
             self.cancel_timer()
         elif self._timer is None or due < self._timer_due:
@@ -469,33 +467,39 @@ class _ModelWorker:
         """Run one chunk on a slot; its handles end with samples or the error.
 
         Returns the handles fulfilled with samples (none when every row
-        expired first).  An in-process forward holds the GIL for its whole
-        length, so it runs on the thread pool.  A worker slot's chunk is
-        I/O: the loop collates, awaits the child's answer and fulfils the
-        handles itself, with the batcher's own two halves of ``run_chunk``.
+        expired first).  Every chunk takes the same path on the loop:
+        :meth:`MicroBatcher.prepare_chunk`, the slot's forward, then
+        :meth:`MicroBatcher.complete_chunk`.  Only the forward differs.  An
+        in-process forward holds the GIL for its whole length, so it runs on
+        the thread pool; a worker slot's forward is I/O, the awaited
+        exchange with its child, whose own forward comes back as the nested
+        ``compute`` stage.
         """
-        exchange = _exchange(predictor)
-        if exchange is None:
-            return await self.server._loop.run_in_executor(
-                self.server._executor, self.batcher.run_chunk, chunk, predictor
-            )
         batcher = self.batcher
         prepared = batcher.prepare_chunk(chunk, predictor)
         if prepared is None:
             return []
         batch, rng, stage = prepared
+        exchange = _exchange(predictor)
+        nested = None
         started = batcher.clock()
         try:
-            samples, compute_s = await exchange(batch, batcher.num_samples, rng)
+            if exchange is None:
+                samples = await self.server._loop.run_in_executor(
+                    self.server._executor,
+                    predictor.predict_world,
+                    batch,
+                    batcher.num_samples,
+                    rng,
+                )
+            else:
+                samples, compute_s = await exchange(batch, batcher.num_samples, rng)
+                nested = {"compute": compute_s}
         except BaseException as error:
             batcher.fail_chunk(chunk, error)
             raise
         stage["inference"] = batcher.clock() - started
-        # The child's own forward lies inside the exchange: a nested stage,
-        # kept out of ``stage`` so the stages still partition the total.
-        return batcher.complete_chunk(
-            chunk, samples, stage, nested={"compute": compute_s}
-        )
+        return batcher.complete_chunk(chunk, samples, stage, nested)
 
     def _record_breaker(self, replica: _Replica, *, failed: bool) -> None:
         """Feed a chunk verdict to the replica's breaker; log transitions."""
@@ -856,7 +860,7 @@ class AsyncServingServer:
         Blue/green in place: ``predictor_factory`` is called once per slot
         the model has now, on the thread pool (checkpoint loading never
         blocks the event loop), then — in one synchronous step on the loop
-        — the model's router is repointed at the new slots and the shared
+        — the model's slot list is repointed at the new slots and the shared
         batcher's collate predictor is updated.  Queued requests and every
         later submit run on the new set; chunks already routed to the old
         slots finish there and are drained before this method returns.
@@ -879,11 +883,10 @@ class AsyncServingServer:
             for _ in worker.replicas
         ]
         new_replicas = self._build_replicas(new_predictors)
-        # --- atomic promotion: no await between here and the router swap ---
+        # --- atomic promotion: no await between here and the slot swap ---
         old_replicas = worker.replicas
         cutover = worker.batcher.next_batch_id
         worker.replicas = new_replicas
-        worker.router = Router(new_replicas)
         worker.batcher.predictor = new_predictors[0]
         # ------------------------------------------------------------------
         self.model_swaps += 1
@@ -934,10 +937,10 @@ class AsyncServingServer:
     async def start(self) -> tuple[str, int]:
         """Bind and spin up the thread pool; returns the address.
 
-        The pool gets one thread per in-process slot, so flushes on distinct
-        slots overlap, plus one, so a swap's checkpoint load never queues
-        behind a flush.  Worker-process slots need no thread: the loop
-        awaits their chunks.
+        The pool gets one thread per in-process slot, so forwards on
+        distinct slots overlap, plus one, so a swap's checkpoint load never
+        queues behind a forward.  Worker-process slots need no thread: their
+        forward is an exchange the loop awaits.
         """
         if not self._models:
             raise RuntimeError("no models registered; call add_model() first")
@@ -1281,10 +1284,6 @@ class AsyncServingServer:
             }
         return trace
 
-    def _record_admission(self, worker: _ModelWorker, admission_s: float) -> None:
-        if self.instrument:
-            worker.stage_histogram("admission").record(admission_s)
-
     async def _op_health(self, conn: _Connection, message: dict) -> dict:
         return {
             "status": "shutting_down" if self._closing else "ok",
@@ -1354,11 +1353,12 @@ class AsyncServingServer:
         }
 
     async def _op_predict(self, conn: _Connection, message: dict) -> dict:
+        started = self._loop.time()
         worker = self._worker(message)
         if "obs" in message:
-            return await self._predict_explicit(conn, worker, message)
+            return await self._predict_explicit(conn, worker, message, started)
         if "frame" in message:
-            return await self._predict_frame(conn, worker, message)
+            return await self._predict_frame(conn, worker, message, started)
         raise ProtocolError(
             "predict needs either 'obs' (explicit window) or 'frame' "
             "(predict every ready observed agent)",
@@ -1366,11 +1366,8 @@ class AsyncServingServer:
         )
 
     async def _predict_explicit(
-        self, conn: _Connection, worker: _ModelWorker, message: dict
+        self, conn: _Connection, worker: _ModelWorker, message: dict, started: float
     ) -> dict:
-        handler_started = self._loop.time()
-        trace = bool(message.get("trace"))
-        wire_dtype = self._wire_dtype(message)
         obs = _parse_array(message["obs"], "[obs_len, 2]", 2)
         # NB: an explicit `is None`/size check — binary requests deliver
         # `neighbours` as an ndarray, whose truthiness is ambiguous.
@@ -1385,76 +1382,76 @@ class AsyncServingServer:
         domain_id = message.get("domain_id", 0)
         if not isinstance(domain_id, int) or isinstance(domain_id, bool):
             raise ProtocolError("'domain_id' must be an integer", protocol.E_BAD_REQUEST)
-        deadline = self._deadline(message, worker)
         try:
             request = PredictRequest(
                 request_id=(conn.conn_id, message.get("id")),
                 obs=obs,
                 neighbours=neighbours,
                 domain_id=domain_id,
-                deadline=deadline,
             )
         except ValueError as error:
             raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
-        self._admit(1)
-        # Admission ends where queue_wait starts, so the stages never overlap.
-        admission_s = self._loop.time() - handler_started
-        try:
-            future = worker.submit(request)
-        except ValueError as error:  # e.g. wrong window length
-            self.accepted -= 1
-            raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
-        except BaseException:  # never queued (e.g. racing shutdown)
-            self.accepted -= 1
-            raise
-        self._record_admission(worker, admission_s)
-        handle = await future
-        payload = self._handle_payload(handle, wire_dtype)
-        if trace:
-            payload["meta"]["trace"] = self._trace_meta(
-                handle, admission_s, handler_started
-            )
+        [payload] = await self._predict_rows(worker, [request], message, started)
         return payload
 
     async def _predict_frame(
-        self, conn: _Connection, worker: _ModelWorker, message: dict
+        self, conn: _Connection, worker: _ModelWorker, message: dict, started: float
     ) -> dict:
-        handler_started = self._loop.time()
+        frame = int(_require(message, "frame", (int,), "an integer frame number"))
+        requests = self._conn_windows(conn, worker).requests(frame)
+        payloads = await self._predict_rows(worker, requests, message, started)
+        return {
+            "agents": {
+                str(request.request_id[0]): payload
+                for request, payload in zip(requests, payloads)
+            }
+        }
+
+    async def _predict_rows(
+        self,
+        worker: _ModelWorker,
+        requests: list[PredictRequest],
+        message: dict,
+        started: float,
+    ) -> list[dict]:
+        """Serve one predict's rows; returns a payload per row, in order.
+
+        The one way into the queue for both predict forms: the deadline, one
+        admission for every row (admitted or refused together), one
+        :meth:`_ModelWorker.submit` of all of them, the rollback of a submit
+        that queued nothing, then the await and each row's payload and
+        trace.
+        """
         trace = bool(message.get("trace"))
         wire_dtype = self._wire_dtype(message)
-        frame = int(_require(message, "frame", (int,), "an integer frame number"))
         deadline = self._deadline(message, worker)
-        windows = self._conn_windows(conn, worker)
-        requests = windows.requests(frame)
         if not requests:
-            return {"agents": {}}
-        if deadline is not None:
-            for request in requests:
-                request.deadline = deadline
+            return []
+        for request in requests:
+            request.deadline = deadline
         self._admit(len(requests))
-        # One admission measurement covers the whole frame; it ends where the
-        # first row's queue_wait starts, so the stages never overlap.
-        admission_s = self._loop.time() - handler_started
-        futures = []
+        # Admission ends where queue_wait starts, so the stages never overlap.
+        admission_s = self._loop.time() - started
         try:
-            for request in requests:
-                futures.append(worker.submit(request))
-        except BaseException:
-            # Roll back what never made it into the queue (a racing
-            # shutdown); already-submitted handles resolve on their own.
-            self.accepted -= len(requests) - len(futures)
+            futures = worker.submit(requests)
+        except ValueError as error:  # e.g. wrong window length
+            self.accepted -= len(requests)
+            raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
+        except BaseException:  # never queued (e.g. racing shutdown)
+            self.accepted -= len(requests)
             raise
-        self._record_admission(worker, admission_s)
-        handles = await asyncio.gather(*futures)
-        agents = {}
-        for request, handle in zip(requests, handles):
+        if self.instrument:
+            worker.stage_histogram("admission").record(admission_s)
+        handles = [await future for future in futures]
+        payloads = []
+        for handle in handles:
             payload = self._handle_payload(handle, wire_dtype)
             if trace:
                 payload["meta"]["trace"] = self._trace_meta(
-                    handle, admission_s, handler_started
+                    handle, admission_s, started
                 )
-            agents[str(request.request_id[0])] = payload
-        return {"agents": agents}
+            payloads.append(payload)
+        return payloads
 
     async def _op_flush(self, conn: _Connection, message: dict) -> dict:
         worker = self._worker(message)

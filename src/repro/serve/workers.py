@@ -7,10 +7,13 @@ is built on:
 
 * **Topology** — the parent (`AsyncServingServer`) keeps the public TCP
   front-end, the shared per-model queue, the ``batch_id`` sequence, the
-  per-flush RNG derivation, and the Router's free-slot list.
+  per-flush RNG derivation, the model's free-slot list and collation.
   Each slot is a :class:`WorkerPredictor`: a child process running
   the predictor loop, fed over one persistent length-prefixed v2 connection
-  (binary tensor frames) owned by the router's flush path.
+  (binary tensor frames).  The server runs a worker slot's chunk exactly
+  as an in-process slot's — ``prepare_chunk``, the forward,
+  ``complete_chunk`` on its event loop — and only the forward differs:
+  the awaited exchange with the child instead of a pool thread.
 * **Replay** — collation happens parent-side
   (:func:`repro.serve.batcher.batch_to_wire` ships the already-collated
   padded tensors) and the chunk carries the *exact* serialized generator
@@ -627,7 +630,7 @@ class WorkerPredictor:
     """A serving slot whose forward runs in a supervised child process.
 
     Duck-types the :class:`~repro.serve.predictor.Predictor` surface the
-    batcher/router need (``obs_len``/``pred_len``/``predict_world``), so the
+    batcher and server need (``obs_len``/``pred_len``/``predict_world``), so the
     whole slot machinery — free-slot routing, one chunk per slot, circuit
     breakers, swap/drain — works unchanged; the server awaits
     :meth:`predict_world_async` on its event loop instead.  A transport

@@ -151,10 +151,11 @@ class TestTableLevelContract:
         self, private_cache, monkeypatch
     ):
         """Acceptance gate: rerunning a table at the same scale never simulates."""
-        from repro.experiments.tables import table2_domain_shift
+        from repro.experiments.runner import run_declared
+        from repro.experiments.tables import TABLES
         from tests.experiments.test_harness_and_reporting import MICRO
 
-        first = table2_domain_shift(MICRO)
+        first = run_declared(TABLES["table2"](MICRO, 0))
 
         # Fresh process: in-memory gone, disk remains.
         clear_cache()
@@ -165,5 +166,5 @@ class TestTableLevelContract:
                 AssertionError("second table invocation must not simulate")
             ),
         )
-        second = table2_domain_shift(MICRO)
+        second = run_declared(TABLES["table2"](MICRO, 0))
         assert first.rows == second.rows

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import cli, runner
 from repro.experiments.scales import get_scale
-from repro.experiments.tables import table2_domain_shift, table6_source_count
+from repro.experiments.tables import TABLES
 from tests.experiments.test_harness_and_reporting import MICRO
 
 TEN_ARTIFACTS = [
@@ -19,7 +19,7 @@ TEN_ARTIFACTS = [
 
 @pytest.fixture(scope="module")
 def standalone():
-    return {"table2": table2_domain_shift(MICRO), "table6": table6_source_count(MICRO)}
+    return {name: runner.run_declared(TABLES[name](MICRO, 0)) for name in ("table2", "table6")}
 
 
 @pytest.fixture(scope="module")

@@ -98,17 +98,20 @@ class TestGridDeclaringGenerators:
     """Tables/figures assemble identical outputs from serial and parallel runs."""
 
     def test_table2_rows_identical_across_jobs(self):
-        from repro.experiments.tables import table2_domain_shift
+        from repro.experiments.runner import run_declared
+        from repro.experiments.tables import TABLES
 
-        serial = table2_domain_shift(MICRO, jobs=1)
-        parallel = table2_domain_shift(MICRO, jobs=2)
+        serial = run_declared(TABLES["table2"](MICRO, 0), jobs=1)
+        parallel = run_declared(TABLES["table2"](MICRO, 0), jobs=2)
         assert serial.rows == parallel.rows
         assert parallel.meta["jobs"] == 2
         assert parallel.meta["grid_wall_seconds"] > 0
 
     def test_figure3_series_identical_across_jobs(self):
-        from repro.experiments.figures import figure3_source_domains
+        from repro.experiments.figures import FIGURES
+        from repro.experiments.runner import run_declared
 
-        serial = figure3_source_domains(MICRO, backbones=("pecnet",), jobs=1)
-        parallel = figure3_source_domains(MICRO, backbones=("pecnet",), jobs=2)
+        declare = FIGURES["figure3"]
+        serial = run_declared(declare(MICRO, 0, backbones=("pecnet",)), jobs=1)
+        parallel = run_declared(declare(MICRO, 0, backbones=("pecnet",)), jobs=2)
         assert serial.series == parallel.series

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.figures import FigureResult, ascii_bar_chart
-from repro.experiments.tables import TableResult, table1_dataset_statistics
+from repro.experiments.runner import run_declared
+from repro.experiments.tables import TABLES, TableResult
 from tests.experiments.test_harness_and_reporting import MICRO
 
 
@@ -60,12 +61,12 @@ class TestFigureResult:
 
 class TestTableGenerators:
     def test_table1_has_four_domains(self):
-        result = table1_dataset_statistics(MICRO)
+        result = run_declared(TABLES["table1"](MICRO, 0))
         assert [row[0] for row in result.rows] == ["eth_ucy", "lcas", "syi", "sdd"]
         assert result.name == "table1_statistics"
 
     def test_table1_syi_densest(self):
-        result = table1_dataset_statistics(MICRO)
+        result = run_declared(TABLES["table1"](MICRO, 0))
         densities = {
             row[0]: float(str(row[2]).split("/")[0]) for row in result.rows
         }

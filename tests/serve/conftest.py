@@ -1,5 +1,6 @@
 """Shared fixtures for the serving tests: small trained methods, request
-builders and ``run_queued``, which runs a bare batcher's queue in-process."""
+builders, and ``execute_chunk`` and ``run_queued``, which run a bare
+batcher's chunks in-process."""
 
 from __future__ import annotations
 
@@ -81,11 +82,34 @@ def train_tiny_method(method: str = "vanilla", backbone: str = "pecnet", seed: i
     return learner
 
 
+def execute_chunk(batcher, chunk, predictor=None) -> list:
+    """Run one popped chunk here, as a server slot runs it.
+
+    ``prepare_chunk``, then ``predict_world`` on ``predictor`` (the
+    batcher's own by default), then ``complete_chunk``.  Returns the
+    handles fulfilled with samples (none when every row expired).  A failed
+    forward fails every handle of the chunk and propagates.
+    """
+    prepared = batcher.prepare_chunk(chunk, predictor)
+    if prepared is None:
+        return []
+    batch, rng, stage = prepared
+    predictor = batcher.predictor if predictor is None else predictor
+    started = batcher.clock()
+    try:
+        samples = predictor.predict_world(batch, batcher.num_samples, rng)
+    except BaseException as error:
+        batcher.fail_chunk(chunk, error)
+        raise
+    stage["inference"] = batcher.clock() - started
+    return batcher.complete_chunk(chunk, samples, stage)
+
+
 def run_queued(batcher) -> list:
     """Release everything queued and run it here, one chunk at a time.
 
     What an in-process slot does, without the server: ``release``, then
-    ``take_ready(limit=1)`` + ``run_chunk`` until the queue is empty.
+    ``take_ready(limit=1)`` + :func:`execute_chunk` until the queue is empty.
     Returns every handle popped.  A failed forward fails its own chunk and
     propagates; the requests behind it stay queued, because a chunk is
     popped only when it is about to run.
@@ -94,7 +118,7 @@ def run_queued(batcher) -> list:
     popped = []
     while chunks := batcher.take_ready(limit=1):
         popped.extend(chunks[0].handles)
-        batcher.run_chunk(chunks[0])
+        execute_chunk(batcher, chunks[0])
     return popped
 
 

@@ -38,6 +38,8 @@ from repro.serve import (
 from repro.serve import protocol
 from repro.serve.workers import seeded_predictor
 
+from tests.serve.conftest import execute_chunk
+
 
 class StubPredictor:
     """Deterministic velocity-extrapolation predictor (scalable for swaps)."""
@@ -217,10 +219,10 @@ class TestBatcherFaultPaths:
     def test_mid_chunk_error_resolves_handles_typed_not_closed(self):
         plan = FaultPlan(0, [FaultRule("predict", "error", rate=1.0, count=1)])
         batcher = MicroBatcher(FaultyPredictor(StubPredictor(), plan), max_batch_size=4)
-        handles = [batcher.submit(make_request(i)) for i in range(3)]
+        handles = batcher.submit([make_request(i) for i in range(3)])
         (chunk,) = batcher.take_ready()
         with pytest.raises(FaultError):
-            batcher.run_chunk(chunk)
+            execute_chunk(batcher, chunk)
         for handle in handles:
             assert handle.done
             assert isinstance(handle.error, FaultError)
@@ -230,9 +232,9 @@ class TestBatcherFaultPaths:
         assert batcher.total_failed == 3
         # The batcher survives the poisoned chunk: the next submit runs fine
         # (the fault plan's budget is spent).
-        handle = batcher.submit(make_request(9))
+        [handle] = batcher.submit([make_request(9)])
         (chunk,) = batcher.take_ready()
-        batcher.run_chunk(chunk)
+        execute_chunk(batcher, chunk)
         np.testing.assert_allclose(
             handle.result()[0], expected_extrapolation(make_obs(9)), atol=1e-9
         )
@@ -240,8 +242,8 @@ class TestBatcherFaultPaths:
     def test_expired_requests_swept_before_pop(self):
         tick = [0.0]
         batcher = MicroBatcher(StubPredictor(), clock=lambda: tick[0])
-        doomed = batcher.submit(make_request(0, deadline=1.0))
-        alive = batcher.submit(make_request(1, deadline=50.0))
+        [doomed] = batcher.submit([make_request(0, deadline=1.0)])
+        [alive] = batcher.submit([make_request(1, deadline=50.0)])
         tick[0] = 2.0
         expired = batcher.expire_pending()
         assert expired == [doomed]
@@ -249,7 +251,7 @@ class TestBatcherFaultPaths:
         assert batcher.total_expired == 1
         assert batcher.pending_count == 1
         (chunk,) = batcher.take_ready()
-        batcher.run_chunk(chunk)
+        execute_chunk(batcher, chunk)
         assert alive.error is None
         # The executed batch collated without the expired row.
         assert alive.batch_size == 1
@@ -257,11 +259,11 @@ class TestBatcherFaultPaths:
     def test_expired_rows_swept_out_of_a_popped_chunk(self):
         tick = [0.0]
         batcher = MicroBatcher(StubPredictor(), clock=lambda: tick[0])
-        doomed = batcher.submit(make_request(0, deadline=1.0))
-        alive = batcher.submit(make_request(1))
+        [doomed] = batcher.submit([make_request(0, deadline=1.0)])
+        [alive] = batcher.submit([make_request(1)])
         (chunk,) = batcher.take_ready()
         tick[0] = 3.0  # deadline passes while the chunk waits for a worker
-        batcher.run_chunk(chunk)
+        execute_chunk(batcher, chunk)
         assert isinstance(doomed.error, DeadlineExceededError)
         assert "missed its deadline" in str(doomed.error)
         assert alive.error is None and alive.batch_size == 1

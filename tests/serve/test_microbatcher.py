@@ -8,7 +8,7 @@ import pytest
 from repro.data.dataset import TrajectoryDataset, TrajectorySample
 from repro.serve import MicroBatcher, PredictRequest, Predictor, collate_requests
 
-from tests.serve.conftest import run_queued
+from tests.serve.conftest import execute_chunk, run_queued
 
 
 class FakeClock:
@@ -114,12 +114,12 @@ class TestBatchingPolicies:
     def test_max_batch_size_makes_a_chunk_due(self, request_factory):
         stub = StubPredictor()
         batcher = MicroBatcher(stub, max_batch_size=4, max_wait=100.0, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(7)]
+        handles = batcher.submit([request_factory(i) for i in range(7)])
         assert stub.batch_sizes == []  # submit only queues
         # Requests 0-3 form a full chunk, due at once; 4-6 wait out max_wait.
         [chunk] = batcher.take_ready()
         assert chunk.handles == handles[:4]
-        batcher.run_chunk(chunk)
+        execute_chunk(batcher, chunk)
         assert stub.batch_sizes == [4]
         assert [h.done for h in handles] == [True] * 4 + [False] * 3
         assert batcher.pending_count == 3
@@ -128,12 +128,12 @@ class TestBatchingPolicies:
         stub = StubPredictor()
         clock = FakeClock()
         batcher = MicroBatcher(stub, max_batch_size=32, max_wait=0.05, clock=clock)
-        handle = batcher.submit(request_factory(0))
+        [handle] = batcher.submit([request_factory(0)])
         assert batcher.take_ready() == []  # oldest has not waited long enough
         assert batcher.next_due(allow_partial=True) == 0.05
         clock.advance(0.051)
         [chunk] = batcher.take_ready()
-        assert batcher.run_chunk(chunk) == [handle]
+        assert execute_chunk(batcher, chunk) == [handle]
         assert handle.done
         assert stub.batch_sizes == [1]
 
@@ -141,7 +141,7 @@ class TestBatchingPolicies:
         batcher = MicroBatcher(
             StubPredictor(), max_batch_size=8, max_wait=100.0, clock=FakeClock()
         )
-        handle = batcher.submit(request_factory(0))
+        [handle] = batcher.submit([request_factory(0)])
         with pytest.raises(RuntimeError, match="not ready"):
             handle.result()
 
@@ -149,11 +149,23 @@ class TestBatchingPolicies:
         """A malformed request fails in its own caller instead of poisoning
         the batch it would later be coalesced with."""
         batcher = MicroBatcher(StubPredictor(), max_batch_size=4, clock=FakeClock())
-        good = [batcher.submit(request_factory(i)) for i in range(3)]
+        good = batcher.submit([request_factory(i) for i in range(3)])
         with pytest.raises(ValueError, match="window length"):
-            batcher.submit(request_factory(99, obs_len=7))
+            batcher.submit([request_factory(99, obs_len=7)])
         run_queued(batcher)
         assert all(h.done for h in good)
+
+    def test_refused_submit_queues_none_of_its_requests(self, request_factory):
+        """Requests submitted together queue together or not at all."""
+        batcher = MicroBatcher(StubPredictor(), max_batch_size=4, clock=FakeClock())
+        mixed = [request_factory(0), request_factory(1), request_factory(2, obs_len=7)]
+        with pytest.raises(ValueError, match="window length"):
+            batcher.submit(mixed)
+        assert (batcher.pending_count, batcher.total_requests) == (0, 0)
+        handles = batcher.submit(mixed[:2])
+        assert [h.request for h in handles] == mixed[:2]
+        assert {h.enqueued_at for h in handles} == {0.0}
+        assert batcher.pending_count == 2
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -168,10 +180,10 @@ class TestCoalescingEquivalence:
     def test_stub_coalesced_equals_per_request(self, request_factory):
         requests = [request_factory(i, num_neighbours=i % 4) for i in range(6)]
         coalesced = MicroBatcher(StubPredictor(), max_batch_size=6)
-        batched = [coalesced.submit(r) for r in requests]
+        batched = coalesced.submit(requests)
         run_queued(coalesced)
         sequential = MicroBatcher(StubPredictor(), max_batch_size=1)
-        singles = [sequential.submit(r) for r in requests]
+        singles = sequential.submit(requests)
         run_queued(sequential)
         for a, b in zip(batched, singles):
             np.testing.assert_allclose(a.result(), b.result(), atol=1e-12)

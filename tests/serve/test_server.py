@@ -217,6 +217,33 @@ class TestErrors:
         assert excinfo.value.code == protocol.E_INTERNAL
         assert "model melted" in str(excinfo.value)
 
+    @pytest.mark.server_config(breaker_threshold=1, breaker_cooldown=60.0)
+    def test_refused_frame_queues_none_of_its_rows(self, running):
+        """A frame-mode predict refused at submit leaves none of its rows
+        queued, and ``accepted`` is rolled back by all of them."""
+        _, host, port, predictor = running
+
+        def explode(batch, num_samples, rng):
+            raise RuntimeError("model melted")
+
+        predictor.predict_world = explode
+        tracks = {name: make_obs(seed) + 10.0 * seed for seed, name in enumerate("abc")}
+        with ServingClient.connect(host, port) as client:
+            with pytest.raises(RemoteServingError):
+                client.predict("stub", make_obs())  # opens the only breaker
+            for frame in range(8):
+                client.observe(
+                    "stub", frame, {k: obs[frame] for k, obs in tracks.items()}
+                )
+            with pytest.raises(RemoteServingError) as excinfo:
+                client.predict_frame("stub", 7)
+            stats = client.stats()
+        assert excinfo.value.code == protocol.E_UNAVAILABLE
+        assert stats["server"]["accepted"] == 1  # the explicit predict only
+        assert stats["server"]["in_flight"] == 0
+        model = stats["models"]["stub"]
+        assert (model["pending"], model["total_requests"]) == (0, 1)
+
 
 class TestBackpressure:
     @pytest.mark.server_config(
@@ -622,81 +649,70 @@ class TestShutdown:
         assert outcome["value"].code == protocol.E_SHUTTING_DOWN
 
 
-class TestRouter:
-    """Unit tests for free-slot routing and its breaker gating."""
+class TestFreeSlots:
+    """Unit tests for a model's free-slot routing and its breaker gating."""
 
     @staticmethod
-    def make_replicas(count, cooldown=60.0):
-        from repro.serve.server import CircuitBreaker, _Replica
+    def make_worker(count, cooldown=60.0):
+        """A model's scheduling state over ``count`` stub slots, no server."""
+        from repro.serve.server import CircuitBreaker, _ModelWorker, _Replica
 
-        return [
+        replicas = [
             _Replica(index, StubPredictor(), CircuitBreaker(1, cooldown))
             for index in range(count)
         ]
+        return _ModelWorker(None, "stub", None, replicas), replicas
 
     def test_free_slots_lowest_index_first(self):
-        from repro.serve.server import Router
-
-        replicas = self.make_replicas(3)
-        router = Router(replicas)
-        assert router.free() == replicas
+        worker, replicas = self.make_worker(3)
+        assert worker.free() == replicas
         replicas[0].active = 1
-        assert router.free() == replicas[1:]
+        assert worker.free() == replicas[1:]
 
     def test_busy_slots_are_not_free(self):
-        from repro.serve.server import Router
-
-        replicas = self.make_replicas(2)
-        router = Router(replicas)
+        worker, replicas = self.make_worker(2)
         replicas[0].active = 1
-        assert router.free() == [replicas[1]]  # one slot still free
+        assert worker.free() == [replicas[1]]  # one slot still free
         replicas[1].active = 1
-        assert router.free() == []
-        assert router.any_available()  # busy is not broken
+        assert worker.free() == []
+        assert worker.any_available()  # busy is not broken
 
     def test_rejects_no_slots(self):
-        from repro.serve.server import Router
+        from repro.serve.server import _ModelWorker
 
         with pytest.raises(ValueError, match="at least one"):
-            Router([])
+            _ModelWorker(None, "stub", None, [])
 
     def test_open_breaker_is_skipped_for_its_sibling(self):
-        from repro.serve.server import Router
-
-        replicas = self.make_replicas(2)
-        router = Router(replicas)
+        worker, replicas = self.make_worker(2)
         replicas[0].breaker.record_failure()  # threshold 1: opens
-        assert router.free() == [replicas[1]]
+        assert worker.free() == [replicas[1]]
         replicas[1].active = 1  # the open slot is still not free
-        assert router.free() == []
-        assert router.any_available()
+        assert worker.free() == []
+        assert worker.any_available()
 
     def test_half_open_slot_takes_one_probe_at_a_time(self):
-        from repro.serve.server import CircuitBreaker, Router
+        from repro.serve.server import CircuitBreaker
 
-        replicas = self.make_replicas(2, cooldown=0.0)
-        router = Router(replicas)
+        worker, replicas = self.make_worker(2, cooldown=0.0)
         replicas[1].active = 1
         replicas[0].breaker.record_failure()  # cooldown 0: half-open next
-        assert router.free() == [replicas[0]]
+        assert worker.free() == [replicas[0]]
         probe = replicas[0]
         assert probe.breaker.state == CircuitBreaker.HALF_OPEN
         probe.active = 1  # the probe chunk is in flight
-        assert router.free() == []  # no second probe
+        assert worker.free() == []  # no second probe
         probe.active = 0
         probe.breaker.record_success()
-        assert router.free() == [replicas[0]]  # closed again
+        assert worker.free() == [replicas[0]]  # closed again
         assert probe.breaker.state == CircuitBreaker.CLOSED
 
     def test_all_breakers_open_leaves_nothing_to_pick(self):
-        from repro.serve.server import Router
-
-        replicas = self.make_replicas(2)
-        router = Router(replicas)
+        worker, replicas = self.make_worker(2)
         for replica in replicas:
             replica.breaker.record_failure()
-        assert router.free() == []
-        assert not router.any_available()
+        assert worker.free() == []
+        assert not worker.any_available()
 
 
 class TestReplicaServing:

@@ -66,8 +66,8 @@ def observe_frames(client, tracks, frames) -> None:
 def assert_replays_offline(method, served, tracks, start) -> set[int]:
     """Replay each served batch of the window starting at ``start`` offline.
 
-    With ``max_wait=0`` a frame may pop as several chunks, so every batch is
-    recomposed from its rows' meta.  Returns the batch ids seen.
+    Every batch is recomposed from its rows' meta.  Returns the batch ids
+    seen.
     """
     assert set(served) == {str(t.agent_id) for t in tracks}
     dataset = offline_dataset(tracks, start)
@@ -122,3 +122,32 @@ def test_served_frames_replay_offline(fixture_name, compile, streamed_scene, req
     if compile:
         stats = predictor.compile_stats()
         assert stats["broken"] is None and stats["plans"] > 0, stats
+
+
+def test_a_frame_is_served_from_one_chunk(trained_vanilla, streamed_scene):
+    """A frame-mode predict queues all of its rows before it drains, so at
+    ``max_wait=0`` (the ``add_model`` default) a frame of N ready agents pops
+    as one chunk of N rows on the one in-process slot, not as a chunk of 1
+    followed by the other N - 1."""
+    tracks, start = streamed_scene
+    assert len(tracks) >= 3
+    mid = start + OBS_LEN
+    server = AsyncServingServer(max_in_flight=64, seed=SEED)
+    server.add_model(
+        "m", Predictor(trained_vanilla), num_samples=NUM_SAMPLES, max_wait=0.0
+    )
+    with ServerThread(server):
+        with ServingClient.connect(*server.address) as client:
+            observe_frames(client, tracks, range(start, mid))
+            first = client.predict_frame("m", mid - 1, return_meta=True)
+            observe_frames(client, tracks, [mid])
+            second = client.predict_frame("m", mid, return_meta=True)
+            stats = client.stats()["models"]["m"]
+    for batch_id, served in enumerate([first, second]):
+        metas = [meta for _, meta in served.values()]
+        assert {meta["batch_id"] for meta in metas} == {batch_id}
+        assert {meta["batch_size"] for meta in metas} == {len(tracks)}
+    assert stats["total_batches"] == 2
+    assert stats["mean_batch_size"] == len(tracks)
+    assert assert_replays_offline(trained_vanilla, first, tracks, start) == {0}
+    assert assert_replays_offline(trained_vanilla, second, tracks, start + 1) == {1}

@@ -3,8 +3,9 @@
 The PR-4 regression surface: a shut-down batcher must terminate every
 pending request with :class:`ServingClosedError` instead of hanging pollers,
 shutdown must be idempotent and exception-safe, and the ``take_ready`` /
-``release`` / ``run_chunk`` API must preserve coalescing and the per-flush
-RNG replay contract the network gate relies on.
+``release`` / ``prepare_chunk`` / ``complete_chunk`` API must preserve
+coalescing and the per-flush RNG replay contract the network gate relies
+on.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.serve import (
     collate_requests,
 )
 
-from tests.serve.conftest import run_queued
+from tests.serve.conftest import execute_chunk, run_queued
 
 
 class FakeClock:
@@ -53,7 +54,7 @@ class StubPredictor:
 class TestShutdown:
     def test_pending_requests_get_terminal_error(self, request_factory):
         batcher = MicroBatcher(StubPredictor(), max_batch_size=8, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(3)]
+        handles = batcher.submit([request_factory(i) for i in range(3)])
         assert not any(h.done for h in handles)
         assert batcher.shutdown() == 3
         for handle in handles:
@@ -64,7 +65,7 @@ class TestShutdown:
 
     def test_shutdown_is_idempotent(self, request_factory):
         batcher = MicroBatcher(StubPredictor(), max_batch_size=8, clock=FakeClock())
-        batcher.submit(request_factory(0))
+        batcher.submit([request_factory(0)])
         assert batcher.shutdown() == 1
         assert batcher.shutdown() == 0
         assert batcher.shutdown() == 0
@@ -74,14 +75,14 @@ class TestShutdown:
         batcher = MicroBatcher(StubPredictor(), max_batch_size=8, clock=FakeClock())
         batcher.shutdown()
         with pytest.raises(ServingClosedError):
-            batcher.submit(request_factory(0))
+            batcher.submit([request_factory(0)])
 
     def test_completed_results_survive_shutdown(self, request_factory):
         """Shutdown fails *pending* work only; delivered results stay valid."""
         batcher = MicroBatcher(StubPredictor(), max_batch_size=2, clock=FakeClock())
-        done = [batcher.submit(request_factory(i)) for i in range(2)]
+        done = batcher.submit([request_factory(i) for i in range(2)])
         run_queued(batcher)
-        late = batcher.submit(request_factory(2))
+        [late] = batcher.submit([request_factory(2)])
         batcher.shutdown()
         assert all(h.error is None for h in done)
         assert done[0].result().shape == (1, 12, 2)
@@ -97,7 +98,7 @@ class TestShutdown:
                 raise RuntimeError("backend down")
 
         batcher = MicroBatcher(FailingPredictor(), max_batch_size=2, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(4)]
+        handles = batcher.submit([request_factory(i) for i in range(4)])
         with pytest.raises(RuntimeError, match="backend down"):
             run_queued(batcher)
         assert all(isinstance(h.error, RuntimeError) for h in handles[:2])
@@ -115,7 +116,7 @@ class TestExternalFlushChunks:
 
     def test_submit_only_queues(self, request_factory):
         batcher = self.make_batcher()
-        handles = [batcher.submit(request_factory(i)) for i in range(6)]
+        handles = batcher.submit([request_factory(i) for i in range(6)])
         assert not any(h.done for h in handles)
         assert batcher.pending_count == 6
 
@@ -123,7 +124,7 @@ class TestExternalFlushChunks:
         clock = FakeClock()
         batcher = self.make_batcher(clock=clock)
         for i in range(6):
-            batcher.submit(request_factory(i))
+            batcher.submit([request_factory(i)])
         chunks = batcher.take_ready()
         assert [c.size for c in chunks] == [4]  # partial not due yet
         clock.advance(0.06)
@@ -134,11 +135,11 @@ class TestExternalFlushChunks:
 
     def test_limit_caps_the_chunks_popped(self, request_factory):
         batcher = self.make_batcher(max_wait=0.0)
-        batcher.submit(request_factory(0))
+        batcher.submit([request_factory(0)])
         # No free slot: the scheduler pops nothing, the single waits...
         assert batcher.take_ready(limit=0) == []
         for i in range(1, 7):
-            batcher.submit(request_factory(i))
+            batcher.submit([request_factory(i)])
         # ...and one slot frees: one chunk pops, the backlog coalesced.
         [chunk] = batcher.take_ready(limit=1)
         assert chunk.size == 4
@@ -149,7 +150,7 @@ class TestExternalFlushChunks:
         clock = FakeClock()
         batcher = self.make_batcher(clock=clock, max_wait=100.0)
         for i in range(5):
-            batcher.submit(request_factory(i))
+            batcher.submit([request_factory(i)])
         assert [c.size for c in batcher.take_ready()] == [4]  # full chunk only
         assert batcher.release() == 1
         assert batcher.next_due(allow_partial=True) == clock.now
@@ -157,14 +158,14 @@ class TestExternalFlushChunks:
         assert chunk.size == 1
         # Work submitted after the release waits out max_wait again.
         clock.advance(1.0)
-        batcher.submit(request_factory(5))
+        batcher.submit([request_factory(5)])
         assert batcher.take_ready() == []
 
     def test_run_chunk_fulfils_handles(self, request_factory):
         batcher = self.make_batcher()
-        handles = [batcher.submit(request_factory(i)) for i in range(4)]
+        handles = batcher.submit([request_factory(i) for i in range(4)])
         [chunk] = batcher.take_ready()
-        completed = batcher.run_chunk(chunk)
+        completed = execute_chunk(batcher, chunk)
         assert completed == handles
         assert all(h.done and h.error is None for h in handles)
         assert batcher.total_batches == 1
@@ -176,10 +177,10 @@ class TestExternalFlushChunks:
                 raise RuntimeError("boom")
 
         batcher = MicroBatcher(FlakyPredictor(), max_batch_size=4, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(2)]
+        handles = batcher.submit([request_factory(i) for i in range(2)])
         [chunk] = batcher.take_ready()
         with pytest.raises(RuntimeError, match="boom"):
-            batcher.run_chunk(chunk)
+            execute_chunk(batcher, chunk)
         # A failed chunk is never requeued: the error is terminal, so the
         # async server can answer the waiting clients instead of retrying a
         # poisoned batch forever.
@@ -200,11 +201,11 @@ class TestExternalFlushChunks:
         requests = [request_factory(i) for i in range(2)]
         for request in requests:
             request.deadline = 1.0
-        handles = [batcher.submit(r) for r in requests]
+        handles = batcher.submit(requests)
         [chunk] = batcher.take_ready()
         clock.advance(2.0)  # every deadline passes while the chunk is routed
         assert batcher.prepare_chunk(chunk) is None
-        assert batcher.run_chunk(chunk) == []
+        assert execute_chunk(batcher, chunk) == []
         assert all(isinstance(h.error, DeadlineExceededError) for h in handles)
         assert (batcher.total_expired, batcher.total_batches) == (2, 0)
 
@@ -214,14 +215,14 @@ class TestExternalFlushChunks:
         partial batch becomes due."""
         batcher = self.make_batcher()  # max_wait 0.05, clock at 0
         assert batcher.next_due(allow_partial=True) is None  # nothing queued
-        batcher.submit(request_factory(0))
+        batcher.submit([request_factory(0)])
         assert batcher.next_due(allow_partial=False) is None  # no deadline
         late, early = request_factory(1), request_factory(2)
         late.deadline, early.deadline = 0.2, 0.01
-        batcher.submit(late)
+        batcher.submit([late])
         assert batcher.next_due(allow_partial=False) == 0.2
         assert batcher.next_due(allow_partial=True) == 0.05
-        batcher.submit(early)
+        batcher.submit([early])
         assert batcher.next_due(allow_partial=True) == 0.01
 
 
@@ -239,11 +240,11 @@ class TestPerFlushRngReplay:
 
         batcher = MicroBatcher(DrawingPredictor(), max_batch_size=2, clock=FakeClock())
         for i in range(6):
-            batcher.submit(request_factory(i))
+            batcher.submit([request_factory(i)])
         chunks = batcher.take_ready()
         assert [c.batch_id for c in chunks] == [0, 1, 2]
         for chunk in reversed(chunks):
-            batcher.run_chunk(chunk)
+            execute_chunk(batcher, chunk)
         assert draws == [np.random.default_rng((0, i)).random() for i in (2, 1, 0)]
 
     def test_batches_replay_from_seed_and_batch_id(self, trained_vanilla, request_factory):
@@ -257,11 +258,11 @@ class TestPerFlushRngReplay:
             seed_per_flush=123,
         )
         requests = [request_factory(i, num_neighbours=i % 3) for i in range(5)]
-        handles = [batcher.submit(r) for r in requests]
+        handles = batcher.submit(requests)
         chunks = batcher.take_ready()
         # Execute out of order — per-flush derivation makes order irrelevant.
         for chunk in reversed(chunks):
-            batcher.run_chunk(chunk)
+            execute_chunk(batcher, chunk)
         for chunk in chunks:
             batch = collate_requests(
                 [h.request for h in chunk.handles], pred_len=predictor.pred_len
