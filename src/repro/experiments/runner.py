@@ -107,8 +107,10 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def _warm_dataset_cache(specs: list[RunSpec]) -> None:
-    """Simulate every dataset a grid needs once, in-parent, before forking.
+    """Build every dataset a grid needs once, in-parent, before forking.
 
+    Each domain is simulated once per data config; its other domain
+    orderings re-wrap the same samples (see :mod:`repro.data.registry`).
     Workers then hit the disk (or, under the fork start method, the
     inherited in-process) cache instead of racing to regenerate the same
     domains.  Keyed exactly like ``run_experiment`` builds its datasets.

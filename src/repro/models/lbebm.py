@@ -65,9 +65,14 @@ def _langevin_np(
     reused buffer whose ``h`` half is written once, and the energy gradient
     ``dE/dz`` is computed by a closed-form walk over the energy MLP
     (:func:`repro.nn.compile.chain_input_grad_np`) instead of building and
-    backpropagating a fresh autograd graph per step.  Every expression
-    mirrors the autograd closures, so the trajectory of ``z`` is
-    bit-identical to the reference loop (golden-tested at 1e-10).
+    backpropagating a fresh autograd graph per step.  Only ``dE/dz`` is
+    read, so the energy network (``... -> relu -> linear``) is walked
+    without its tail: the energy itself is never computed, the gradient
+    through the trailing linear layer is the same every step and is
+    computed once, and the last relu is not applied, since its backward
+    reads only ``pre > 0``.  Every remaining expression mirrors the autograd
+    closures, so the trajectory of ``z`` is bit-identical to the reference
+    loop (golden-tested at 1e-10).
     """
     num_samples, _, agents, _ = draws.shape
     batch = num_samples * agents
@@ -76,17 +81,20 @@ def _langevin_np(
     # The conditioning buffer follows the *model* dtype (the reference loop
     # wraps z in a default-dtype Tensor each iteration), while the z update
     # itself stays in the draw dtype — exactly like the eager path.
-    dtype = energy_spec[0][1].dtype if energy_spec else z0.dtype
+    dtype = energy_spec[0][1].dtype
     x = np.empty((batch, latent_dim + h.shape[-1]), dtype=dtype)
     x[:, latent_dim:] = h
-    ones = np.ones((batch, 1), dtype=dtype)
+    body, head, w_energy = energy_spec[:-2], energy_spec[:-1], energy_spec[-1][1]
+    grad_out = np.ones((batch, 1), dtype=dtype) @ w_energy.swapaxes(-1, -2)
+    sqrt_step = np.sqrt(step_size)
     z = z0
     for k in range(steps):
         x[:, :latent_dim] = z
         stash: list = []
-        chain_forward_np(x, energy_spec, stash)
-        grad = chain_input_grad_np(ones, energy_spec, stash)[:, :latent_dim]
-        z = z - 0.5 * step_size * grad + np.sqrt(step_size) * noise[k]
+        pre = chain_forward_np(x, body, stash)
+        stash.append((pre, None))
+        grad = chain_input_grad_np(grad_out, head, stash)[:, :latent_dim]
+        z = z - 0.5 * step_size * grad + sqrt_step * noise[k]
     return z
 
 
@@ -145,8 +153,15 @@ class LBEBM(TrajectoryBackbone):
             [hidden_size + pred_len * 2, 64, 2 * latent_dim], rng=rng
         )
         self.energy = MLP([latent_dim + hidden_size, 32, 1], rng=rng)
-        if linear_chain(self.energy) is None:
-            raise ValueError("the energy network must be a fusable MLP (no dropout)")
+        # _langevin_np walks this chain without its trailing relu -> linear.
+        spec = linear_chain(self.energy)
+        if spec is None or [e[:2] for e in chain_layout(spec)[-2:]] != [
+            ("act", "relu"),
+            ("linear", True),
+        ]:
+            raise ValueError(
+                "the energy network must be a fusable MLP ending in relu -> linear (no dropout)"
+            )
         # Future trajectory generator: recurrent rollout (Eq. 4-7).
         self.decoder = RecurrentTrajectoryDecoder(
             hidden_size + interaction_size + latent_dim + context_size,

@@ -381,7 +381,7 @@ def chain_forward_np(
             pre = cur
             name = entry[1]
             if name == "relu":
-                cur = np.where(pre > 0, pre, 0.0)
+                cur = np.maximum(pre, 0.0)
             elif name == "tanh":
                 cur = np.tanh(pre)
             elif name == "sigmoid":

@@ -1191,11 +1191,13 @@ class AsyncServingServer:
         return worker
 
     def _conn_windows(self, conn: _Connection, worker: _ModelWorker) -> StreamingWindows:
+        obs_len = worker.batcher.predictor.obs_len
         windows = conn.windows.get(worker.name)
-        if windows is None:
+        # A swap to a predictor with another obs_len restarts the windows:
+        # the connection's agents re-warm over obs_len frames, as after a gap.
+        if windows is None or windows.obs_len != obs_len:
             windows = conn.windows[worker.name] = StreamingWindows(
-                obs_len=worker.batcher.predictor.obs_len,
-                max_neighbours=worker.batcher.max_neighbours,
+                obs_len=obs_len, max_neighbours=worker.batcher.max_neighbours
             )
         return windows
 

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-fingerprint",
+        action="store_true",
+        default=False,
+        help="rewrite tests/experiments/fingerprint.json from this tree's results",
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic generator; one fresh instance per test."""

@@ -13,6 +13,7 @@ from repro.data.registry import (
     load_domain_dataset,
     reset_cache_stats,
 )
+from repro.sim.domains import DOMAIN_NAMES
 
 CFG = DataConfig(num_scenes=1, frames_per_scene=45, stride=8, max_neighbours=4)
 
@@ -34,6 +35,9 @@ def assert_splits_equal(a, b) -> None:
     for split_a, split_b in ((a.train, b.train), (a.val, b.val), (a.test, b.test)):
         assert len(split_a) == len(split_b)
         assert split_a.domains == split_b.domains
+        assert [split_a.domain_id(s.domain) for s in split_a.samples] == [
+            split_b.domain_id(s.domain) for s in split_b.samples
+        ]
         for sa, sb in zip(split_a.samples, split_b.samples):
             assert np.array_equal(sa.obs, sb.obs)
             assert np.array_equal(sa.future, sb.future)
@@ -120,6 +124,71 @@ class TestKeying:
         load_domain_dataset("lcas", DataConfig(num_scenes=1, frames_per_scene=45, seed=8))
         assert cache_stats["misses"] == 1
         assert cache_stats["disk_hits"] == 0
+
+
+def table4_keys() -> list[tuple[str, list[str]]]:
+    """``(domain, domains)`` of every dataset Table IV loads: 16 keys, each
+    domain under the 4 leave-one-out orderings."""
+    keys = []
+    for target in DOMAIN_NAMES:
+        domains = [d for d in DOMAIN_NAMES if d != target] + [target]
+        keys.extend((domain, domains) for domain in domains)
+    return keys
+
+
+class TestBuildOnce:
+    def test_table4_simulates_each_domain_once_per_cold_pass(
+        self, private_cache, monkeypatch
+    ):
+        """A cold Table IV set-up: 16 misses from 4 simulations, the same
+        again after ``clear_cache()``, and every dataset equal to the one
+        built alone from an empty cache."""
+        calls = []
+        real_generate = registry.generate_scenes
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return real_generate(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "generate_scenes", counting)
+        keys = table4_keys()
+        passes = []
+        for index in range(2):
+            registry.set_cache_dir(private_cache / f"pass{index}")
+            clear_cache()
+            reset_cache_stats()
+            calls.clear()
+            passes.append([load_domain_dataset(d, CFG, domains=ds) for d, ds in keys])
+            assert cache_stats["misses"] == 16
+            assert cache_stats["simulated"] == 4
+            assert sorted(calls) == sorted(DOMAIN_NAMES)
+            assert len(list((private_cache / f"pass{index}").glob("*.npz"))) == 16
+
+        registry.set_cache_dir(None)
+        for (domain, domains), first, second in zip(keys, *passes):
+            clear_cache()
+            alone = load_domain_dataset(domain, CFG, domains=domains)
+            assert_splits_equal(first, alone)
+            assert_splits_equal(second, alone)
+
+    def test_other_orderings_rewrap_a_disk_hit(self, private_cache, monkeypatch):
+        first = load_domain_dataset("lcas", CFG, domains=["lcas", "sdd"])
+        clear_cache()
+        reset_cache_stats()
+        monkeypatch.setattr(
+            registry,
+            "generate_scenes",
+            lambda *a, **k: (_ for _ in ()).throw(
+                AssertionError("a domain read from disk must not be simulated again")
+            ),
+        )
+        assert_splits_equal(load_domain_dataset("lcas", CFG, domains=["lcas", "sdd"]), first)
+        reordered = load_domain_dataset("lcas", CFG, domains=["sdd", "lcas"])
+        assert cache_stats["disk_hits"] == 1
+        assert cache_stats["misses"] == 1
+        assert cache_stats["simulated"] == 0
+        assert reordered.train.domains == ["sdd", "lcas"]
+        assert {reordered.train.domain_id(s.domain) for s in reordered.train.samples} == {1}
 
 
 class TestDisabledCache:

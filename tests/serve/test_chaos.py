@@ -673,6 +673,49 @@ class TestModelSwap:
         finally:
             thread.stop()
 
+    def test_swap_to_another_obs_len_rewarms_open_connections(self):
+        """A live connection's windows follow the swapped-in predictor's
+        ``obs_len``: its agents re-warm over 6 frames, then frame predicts
+        send 6-point windows."""
+
+        class ShortStub(StubPredictor):
+            obs_len = 6
+
+            def __init__(self) -> None:
+                super().__init__()
+                self.widths: list[int] = []
+
+            def predict_world(self, batch, num_samples, rng):
+                self.widths.append(batch.obs.shape[1])
+                return super().predict_world(batch, num_samples, rng)
+
+        short = ShortStub()
+        tracks = {"a": make_obs(1, obs_len=14), "b": make_obs(2, obs_len=14)}
+        server = AsyncServingServer()
+        server.add_model("stub", StubPredictor())
+        thread, host, port = serve(server)
+        try:
+            with ServingClient.connect(host, port) as client:
+                for frame in range(8):
+                    client.observe("stub", frame, {a: xy[frame] for a, xy in tracks.items()})
+                assert set(client.predict_frame("stub", 7)) == {"a", "b"}
+                thread.swap_model("stub", lambda: short)
+                ready = [
+                    client.observe(
+                        "stub", frame, {a: xy[frame] for a, xy in tracks.items()}
+                    )["ready"]
+                    for frame in range(8, 14)
+                ]
+                assert ready == [[]] * 5 + [["a", "b"]]
+                after = client.predict_frame("stub", 13)
+            assert short.widths == [6]
+            for agent, track in tracks.items():
+                np.testing.assert_allclose(
+                    after[agent][0], expected_extrapolation(track[8:14]), atol=1e-9
+                )
+        finally:
+            thread.stop()
+
 
 # ----------------------------------------------------------------------
 # Transport chaos (connection drops via the proxy)
